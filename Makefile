@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet ddlvet vetbench bench loadbench leaderboard smoke cover fuzz verify
+.PHONY: all build test race vet ddlvet vetbench benchcheck bench loadbench leaderboard smoke cover fuzz verify
 
 all: verify
 
@@ -32,6 +32,12 @@ test:
 # anyway and CI mirrors this target.
 race:
 	$(GO) test -race -short ./...
+
+# bench/ (what BENCHMARK.json runs) is a module of its own, outside root
+# `go vet ./...` and `go test ./...`; without this a root API change that
+# breaks it is found only when the benchmark pipeline runs.
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Micro-benchmarks plus the embed fast-path report: BENCH_embed.json
 # records ns/op, allocs/op, p50/p99, and the reference-vs-fast-path
@@ -91,4 +97,4 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/regress -run '^$$' -fuzz FuzzLoadRegressor -fuzztime $(FUZZTIME)
 
-verify: vet build ddlvet test race smoke cover loadbench leaderboard
+verify: vet build ddlvet test benchcheck race smoke cover loadbench leaderboard

@@ -459,20 +459,6 @@ func BenchmarkGHNEmbedResNet50Reference(b *testing.B) {
 	}
 }
 
-// BenchmarkGHNEmbedResNet50Float32 runs the fast path on the float32
-// weight snapshot (serve -infer32).
-func BenchmarkGHNEmbedResNet50Float32(b *testing.B) {
-	g := ghn.New(ghn.Config{}, tensor.NewRNG(1))
-	gr := graph.MustBuild("resnet50", graph.DefaultConfig())
-	key := gr.Fingerprint()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.EmbedKeyed(gr, key, ghn.Float32); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGraphBuildEfficientNetB7(b *testing.B) {
 	cfg := graph.DefaultConfig()
 	for i := 0; i < b.N; i++ {

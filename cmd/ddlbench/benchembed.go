@@ -1,7 +1,7 @@
 // The -bench-embed mode: measure the GHN embed pipeline's tape-based
-// reference path against the tape-free fast path (float64 and float32) on
-// this machine and write the results as JSON — the BENCH_embed.json
-// artifact `make bench` produces and CI uploads.
+// reference path against the tape-free fast path on this machine and write
+// the results as JSON — the BENCH_embed.json artifact `make bench` produces
+// and CI uploads.
 package main
 
 import (
@@ -34,8 +34,8 @@ var benchEmbedCorpus = []string{
 const benchEmbedSweeps = 30
 
 type embedVariantResult struct {
-	// Name is reference (tape-building Forward path), float64 (tape-free
-	// fast path, bit-identical to reference), or float32.
+	// Name is reference (tape-building Forward path) or float64 (tape-free
+	// fast path, bit-identical to reference).
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -52,15 +52,13 @@ type embedBenchReport struct {
 	Corpus      []string             `json:"corpus"`
 	Sweeps      int                  `json:"sweeps"`
 	Variants    []embedVariantResult `json:"variants"`
-	// Ratios of the reference path over the named fast path — the
+	// Ratios of the reference path over the fast path — the
 	// speedup/allocation-reduction acceptance numbers for this machine.
 	SpeedupFloat64         float64 `json:"speedup_float64_vs_reference"`
-	SpeedupFloat32         float64 `json:"speedup_float32_vs_reference"`
 	AllocsReductionFloat64 float64 `json:"allocs_reduction_float64_vs_reference"`
-	AllocsReductionFloat32 float64 `json:"allocs_reduction_float32_vs_reference"`
 }
 
-// runBenchEmbed benchmarks the three embed routes over the seeded corpus
+// runBenchEmbed benchmarks the two embed routes over the seeded corpus
 // and writes the JSON report to path.
 func runBenchEmbed(path string, seed int64) error {
 	section(fmt.Sprintf("Embed fast-path benchmark — %d models × %d sweeps per variant", len(benchEmbedCorpus), benchEmbedSweeps))
@@ -86,7 +84,6 @@ func runBenchEmbed(path string, seed int64) error {
 	}{
 		{"reference", func(gr *graph.Graph, _ string) ([]float64, error) { return g.EmbedReference(gr) }},
 		{"float64", func(gr *graph.Graph, key string) ([]float64, error) { return g.EmbedKeyed(gr, key, ghn.Float64) }},
-		{"float32", func(gr *graph.Graph, key string) ([]float64, error) { return g.EmbedKeyed(gr, key, ghn.Float32) }},
 	}
 
 	rep := embedBenchReport{
@@ -107,15 +104,11 @@ func runBenchEmbed(path string, seed int64) error {
 			res.Name, res.NsPerOp, res.AllocsPerOp, res.P50Seconds, res.P99Seconds)
 	}
 
-	ref, f64, f32 := rep.Variants[0], rep.Variants[1], rep.Variants[2]
+	ref, f64 := rep.Variants[0], rep.Variants[1]
 	rep.SpeedupFloat64 = ratio(ref.NsPerOp, f64.NsPerOp)
-	rep.SpeedupFloat32 = ratio(ref.NsPerOp, f32.NsPerOp)
 	rep.AllocsReductionFloat64 = ratio(ref.AllocsPerOp, f64.AllocsPerOp)
-	rep.AllocsReductionFloat32 = ratio(ref.AllocsPerOp, f32.AllocsPerOp)
 	fmt.Printf("float64 fast path: %.2fx faster, %.0fx fewer allocations than the tape path\n",
 		rep.SpeedupFloat64, rep.AllocsReductionFloat64)
-	fmt.Printf("float32 fast path: %.2fx faster, %.0fx fewer allocations than the tape path\n",
-		rep.SpeedupFloat32, rep.AllocsReductionFloat32)
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -7,7 +7,7 @@
 //
 //	ddlbench [-fig all|1|2|5|6|9|10|11|12|13|baselines|hetero|sharedghn|confidence]
 //	         [-seed N] [-quick] [-dump-campaign points.csv]
-//	         [-ghn-batch N] [-ghn-parallel N] [-batch N] [-infer32] [-metrics]
+//	         [-ghn-batch N] [-ghn-parallel N] [-batch N] [-metrics]
 //	         [-bench-embed BENCH_embed.json]
 //	         [-leaderboard] [-leaderboard-out BENCH_leaderboard.json] [-folds N]
 //	         [-leaderboard-timings]
@@ -22,13 +22,12 @@
 // -ghn-parallel. -batch N skips the figures, trains one quick predictor,
 // and times a batch of N predictions cold (empty embedding cache) and warm
 // against the serial Predict loop, reporting p50/p99 embed latency from the
-// obs histograms; -infer32 runs that demo on the float32 embedding fast
-// path. -bench-embed FILE benchmarks the tape-based reference embed against
-// the tape-free float64/float32 fast paths and writes the JSON report
-// (ns/op, allocs/op, p50/p99, speedup ratios) to FILE — the BENCH_embed.json
-// artifact CI uploads. -metrics instruments the lab with a metrics registry and
-// prints its snapshot (GHN step times, embed latencies) after the figure
-// run; instrumentation never changes figure output.
+// obs histograms. -bench-embed FILE benchmarks the tape-based reference
+// embed against the tape-free fast path and writes the JSON report (ns/op,
+// allocs/op, p50/p99, speedup ratios) to FILE — the BENCH_embed.json
+// artifact CI uploads. -metrics instruments the lab with a metrics registry
+// and prints its snapshot (GHN step times, embed latencies) after the
+// figure run; instrumentation never changes figure output.
 //
 // -leaderboard runs every registered predictor backend (see DESIGN.md §14)
 // over every dataset's campaign via seeded k-fold cross-validation, prints
@@ -67,7 +66,6 @@ func main() {
 	ghnBatch := flag.Int("ghn-batch", 0, "GHN training mini-batch size (0 = per-graph updates)")
 	ghnParallel := flag.Int("ghn-parallel", 0, "GHN training workers per batch (0 = NumCPU, 1 = serial; results are identical either way)")
 	batchDemo := flag.Int("batch", 0, "run the batch-prediction demo over N workloads instead of the figures")
-	infer32 := flag.Bool("infer32", false, "run the batch demo on the float32 embedding fast path")
 	benchEmbed := flag.String("bench-embed", "", "benchmark the embed fast path and write the JSON report to FILE, then exit")
 	metrics := flag.Bool("metrics", false, "print the lab's metrics registry snapshot after the run")
 	leaderboard := flag.Bool("leaderboard", false, "run the predictor-backend leaderboard over every dataset instead of the figures")
@@ -81,7 +79,7 @@ func main() {
 		return
 	}
 	if *batchDemo > 0 {
-		exitOn(runBatchDemo(*batchDemo, *seed, *ghnBatch, *ghnParallel, *infer32))
+		exitOn(runBatchDemo(*batchDemo, *seed, *ghnBatch, *ghnParallel))
 		return
 	}
 
@@ -315,12 +313,8 @@ func runLeaderboard(lab *experiments.Lab, outPath string, folds int, withTimings
 // runBatchDemo trains a quick predictor and compares a serial Predict loop
 // against PredictBatch over n zoo workloads, cold (empty embedding cache)
 // and warm — the Fig. 13 batch-job scenario measured on this machine.
-func runBatchDemo(n int, seed int64, ghnBatch, ghnParallel int, infer32 bool) error {
-	prec := "float64"
-	if infer32 {
-		prec = "float32"
-	}
-	section(fmt.Sprintf("Batch-prediction demo — %d workloads, quick cifar10 predictor, %s embeddings", n, prec))
+func runBatchDemo(n int, seed int64, ghnBatch, ghnParallel int) error {
+	section(fmt.Sprintf("Batch-prediction demo — %d workloads, quick cifar10 predictor", n))
 	zoo := predictddl.Zoo()
 	models := make([]string, n)
 	for i := range models {
@@ -343,7 +337,6 @@ func runBatchDemo(n int, seed int64, ghnBatch, ghnParallel int, infer32 bool) er
 	if err != nil {
 		return err
 	}
-	p.UseFloat32Inference(infer32)
 	fmt.Printf("trained predictor in %v\n", obs.Since(clock, trainStart).Round(time.Millisecond))
 	trainedEmbeds := embedCount(serialObs)
 
@@ -379,7 +372,6 @@ func runBatchDemo(n int, seed int64, ghnBatch, ghnParallel int, infer32 bool) er
 	if err != nil {
 		return err
 	}
-	pb.UseFloat32Inference(infer32)
 	batchCold := clock.Now()
 	batch, err := pb.PredictBatch(models, 8)
 	if err != nil {

@@ -91,7 +91,7 @@ func usage() {
   predictddl serve   -addr :8080 [-datasets cifar10,tiny-imagenet] [-collector ADDR] [-quick] [-backend NAME]
                      [-read-timeout 30s] [-write-timeout 2m] [-idle-timeout 2m]
                      [-shutdown-timeout 30s] [-max-body N] [-max-batch N] [-collector-ttl 30s]
-                     [-pprof] [-trace-log] [-infer32]
+                     [-pprof] [-trace-log]
   predictddl gateway -addr :8090 -replicas URL,URL,... [-collectors ADDR,ADDR,...]
                      [-seed 1] [-vnodes 64] [-shard-inflight N]
                      [-health-interval 1s] [-health-timeout 500ms] [-replicate-interval 1s]
@@ -299,7 +299,6 @@ func runServe(args []string) error {
 	collectorTTL := fs.Duration("collector-ttl", 30*time.Second, "collector registration time-to-live")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	traceLog := fs.Bool("trace-log", true, "log ?trace=1 request traces to stderr")
-	infer32 := fs.Bool("infer32", false, "serve embeddings on the float32 fast path (faster, not bit-identical to float64)")
 	backend := backendFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -314,11 +313,7 @@ func runServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		p.UseFloat32Inference(*infer32)
 		preds = append(preds, p)
-	}
-	if *infer32 {
-		fmt.Fprintln(os.Stderr, "serving embeddings at float32 precision")
 	}
 	if len(preds) == 0 {
 		return fmt.Errorf("no datasets specified")

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"predictddl/internal/cluster"
+	"predictddl/internal/dataset"
 	"predictddl/internal/graph"
 	"predictddl/internal/obs"
 )
@@ -198,12 +199,12 @@ func (c *Controller) checkRequest(req PredictRequest) (*InferenceEngine, *graph.
 			return nil, nil, cluster.Cluster{}, err
 		}
 	case req.Model != "":
+		// Build at the dataset's sample shape, as training and campaigns
+		// do. Engines may be registered under names dataset.Lookup does not
+		// know; those keep the zoo defaults.
 		var gcfg graph.Config
-		// Match the dataset sample shape when known; the zoo applies
-		// defaults otherwise.
-		switch req.Dataset {
-		case "tiny-imagenet":
-			gcfg = graph.Config{InputH: 64, InputW: 64, InputChannels: 3, NumClasses: 200}
+		if ds, err := dataset.Lookup(req.Dataset); err == nil {
+			gcfg = ds.GraphConfig()
 		}
 		var err error
 		g, err = graph.Build(req.Model, gcfg)
@@ -282,7 +283,7 @@ type BatchResponse struct {
 func (c *Controller) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr := traceFrom(r)
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		obs.HTTPError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	maxBody, maxItems := c.limits()
@@ -291,11 +292,11 @@ func (c *Controller) handleBatch(w http.ResponseWriter, r *http.Request) {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req)
 	stop()
 	if err != nil {
-		httpError(w, decodeStatus(err), "invalid JSON: "+err.Error())
+		obs.HTTPError(w, decodeStatus(err), "invalid JSON: "+err.Error())
 		return
 	}
 	if len(req.Requests) == 0 {
-		httpError(w, http.StatusBadRequest, "empty batch")
+		obs.HTTPError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	// Record every admitted batch's size — including over-limit ones, which
@@ -303,7 +304,7 @@ func (c *Controller) handleBatch(w http.ResponseWriter, r *http.Request) {
 	c.Metrics().Histogram("http.batch.size", obs.SizeBuckets(DefaultMaxBatchItems)).
 		Observe(float64(len(req.Requests)))
 	if len(req.Requests) > maxItems {
-		httpError(w, http.StatusRequestEntityTooLarge,
+		obs.HTTPError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d exceeds the %d-item limit; split the request", len(req.Requests), maxItems))
 		return
 	}
@@ -337,7 +338,7 @@ func (c *Controller) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rep := tr.Report()
 		resp.Trace = &rep
 	}
-	writeJSON(w, resp)
+	obs.WriteJSON(w, resp)
 }
 
 // predictOne resolves and predicts a single batch item.
@@ -368,7 +369,7 @@ func (c *Controller) predictOne(pr PredictRequest, item *BatchItem) {
 func (c *Controller) handlePredict(w http.ResponseWriter, r *http.Request) {
 	tr := traceFrom(r) // nil (and a no-op) unless the request set ?trace=1
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		obs.HTTPError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	maxBody, _ := c.limits()
@@ -377,19 +378,19 @@ func (c *Controller) handlePredict(w http.ResponseWriter, r *http.Request) {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req)
 	stop()
 	if err != nil {
-		httpError(w, decodeStatus(err), "invalid JSON: "+err.Error())
+		obs.HTTPError(w, decodeStatus(err), "invalid JSON: "+err.Error())
 		return
 	}
 	stop = tr.Stage("check")
 	engine, g, cl, err := c.checkRequest(req)
 	stop()
 	if err != nil {
-		httpError(w, checkStatus(err), err.Error())
+		obs.HTTPError(w, checkStatus(err), err.Error())
 		return
 	}
 	secs, err := engine.PredictTraced(g, cl, tr)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		obs.HTTPError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	model := req.Model
@@ -407,7 +408,7 @@ func (c *Controller) handlePredict(w http.ResponseWriter, r *http.Request) {
 		rep := tr.Report()
 		resp.Trace = &rep
 	}
-	writeJSON(w, resp)
+	obs.WriteJSON(w, resp)
 }
 
 // StatusResponse reports controller state. LiveHosts names the live
@@ -422,7 +423,7 @@ type StatusResponse struct {
 
 func (c *Controller) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		obs.HTTPError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	c.mu.RLock()
@@ -444,7 +445,7 @@ func (c *Controller) handleStatus(w http.ResponseWriter, r *http.Request) {
 			resp.LiveHosts[i] = s.Hostname
 		}
 	}
-	writeJSON(w, resp)
+	obs.WriteJSON(w, resp)
 }
 
 // InventoryResponse is the GET /v1/inventory reply: the controller's live
@@ -460,22 +461,22 @@ type InventoryResponse struct {
 // num_servers requests simply has nothing to replicate.
 func (c *Controller) handleInventory(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		obs.HTTPError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	resp := InventoryResponse{Servers: []cluster.WireServer{}}
 	if col := c.Collector(); col != nil {
 		resp.Servers = col.InventoryEntries()
 	}
-	writeJSON(w, resp)
+	obs.WriteJSON(w, resp)
 }
 
 func (c *Controller) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		obs.HTTPError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	writeJSON(w, map[string][]string{"models": graph.Zoo()})
+	obs.WriteJSON(w, map[string][]string{"models": graph.Zoo()})
 }
 
 // checkStatus maps a Task Checker failure to its HTTP status: unknown
@@ -500,18 +501,4 @@ func decodeStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers already sent; nothing recoverable.
-		return
-	}
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

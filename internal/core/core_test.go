@@ -232,6 +232,69 @@ func TestControllerPredictEndpoint(t *testing.T) {
 	}
 }
 
+// A by-name request must be priced on the graph training embedded: the zoo
+// model at the dataset's own sample shape (dataset.GraphConfig), for every
+// known dataset. Engines registered under a name dataset.Lookup does not
+// know keep the zoo defaults.
+func TestControllerBuildsZooModelAtDatasetShape(t *testing.T) {
+	const model = "resnet18"
+	cases := map[string]graph.Config{"shard-007": {}}
+	for _, name := range dataset.Names() {
+		ds, err := dataset.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[name] = ds.GraphConfig()
+	}
+	var engines []*InferenceEngine
+	for name := range cases {
+		g := ghn.New(ghn.Config{HiddenDim: 8}, tensor.NewRNG(1))
+		engines = append(engines, NewInferenceEngine(name, g, sumSquares{}))
+	}
+	srv := httptest.NewServer(NewController(NewGHNRegistry(), engines...).Handler())
+	defer srv.Close()
+
+	cl := cluster.Homogeneous(4, cluster.SpecGPUP100())
+	for _, e := range engines {
+		name := e.Dataset()
+		want, err := e.Predict(graph.MustBuild(model, cases[name]), cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := json.Marshal(PredictRequest{Dataset: name, Model: model, NumServers: 4})
+		resp, err := http.Post(srv.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pr PredictResponse
+		err = json.NewDecoder(resp.Body).Decode(&pr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, decode error %v", name, resp.StatusCode, err)
+		}
+		if math.Float64bits(pr.PredictedSeconds) != math.Float64bits(want) {
+			t.Fatalf("%s: /v1/predict = %v, engine on dataset-shaped graph = %v", name, pr.PredictedSeconds, want)
+		}
+	}
+
+	// cifar10's shape is the zoo default, so its requests keep the
+	// fingerprint (and warm cache entries) they had before.
+	def := graph.MustBuild(model, graph.Config{}).Fingerprint()
+	if got := graph.MustBuild(model, cases["cifar10"]).Fingerprint(); got != def {
+		t.Fatalf("cifar10 fingerprint %s differs from zoo default %s", got, def)
+	}
+}
+
+// sumSquares is a regressor whose estimate moves with every feature, so two
+// different embeddings cannot collapse onto the engine's 1e-6 floor.
+type sumSquares struct{}
+
+func (sumSquares) Name() string                        { return "sum-squares" }
+func (sumSquares) Fit(*tensor.Matrix, []float64) error { return nil }
+func (sumSquares) Predict(f []float64) (float64, error) {
+	return 1 + tensor.Dot(f, f), nil
+}
+
 func TestControllerTaskCheckerRejections(t *testing.T) {
 	e, _ := sharedEngine(t)
 	reg := NewGHNRegistry()

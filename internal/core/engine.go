@@ -54,10 +54,6 @@ type InferenceEngine struct {
 	// itself, next to the eviction loop.
 	cacheHits   *obs.Counter //ddlvet:guardedby mu
 	cacheMisses *obs.Counter //ddlvet:guardedby mu
-	// precision selects the GHN inference route (DESIGN.md §10). Float64
-	// (the default) is bit-identical to the training forward pass; Float32
-	// trades that for speed and memory. Guarded by mu.
-	precision ghn.Precision //ddlvet:guardedby mu
 }
 
 // NewInferenceEngine assembles an engine from a trained GHN and a fitted
@@ -86,29 +82,6 @@ func (e *InferenceEngine) SetEmbeddingCacheSize(n int) {
 	e.cache = newEmbedCache(n)
 	e.cache.evictions = evictions
 	e.mu.Unlock()
-}
-
-// SetInferencePrecision selects the numeric route for GHN embeddings.
-// Switching clears the embedding cache: cached embeddings are a pure
-// function of (weights, graph, precision), so entries computed at the old
-// precision must not serve requests at the new one. Safe to call
-// concurrently with predictions.
-func (e *InferenceEngine) SetInferencePrecision(p ghn.Precision) {
-	e.mu.Lock()
-	if e.precision != p {
-		e.precision = p
-		evictions := e.cache.evictions
-		e.cache = newEmbedCache(e.cache.limit)
-		e.cache.evictions = evictions
-	}
-	e.mu.Unlock()
-}
-
-// InferencePrecision reports the engine's current embedding precision.
-func (e *InferenceEngine) InferencePrecision() ghn.Precision {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.precision
 }
 
 // Instrument attaches the engine to a metrics registry (DESIGN.md §9): the
@@ -159,7 +132,6 @@ func (e *InferenceEngine) embedding(g *graph.Graph, key string) ([]float64, erro
 	e.mu.Lock()
 	cached, ok := e.cache.get(key)
 	hits, misses := e.cacheHits, e.cacheMisses
-	prec := e.precision
 	e.mu.Unlock()
 	if ok {
 		hits.Inc()
@@ -168,7 +140,7 @@ func (e *InferenceEngine) embedding(g *graph.Graph, key string) ([]float64, erro
 	misses.Inc()
 	// The fingerprint is already in hand, so take the keyed fast path: the
 	// GHN reuses it for its topology cache instead of hashing again.
-	emb, err := e.ghn.EmbedKeyed(g, key, prec)
+	emb, err := e.ghn.EmbedKeyed(g, key, ghn.Float64)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +188,6 @@ func (e *InferenceEngine) EmbedAll(graphs []*graph.Graph) ([][]float64, error) {
 		}
 	}
 	hitCtr, missCtr := e.cacheHits, e.cacheMisses
-	prec := e.precision
 	e.mu.Unlock()
 	hitCtr.Add(nHits)
 	missCtr.Add(nMisses)
@@ -239,7 +210,7 @@ func (e *InferenceEngine) EmbedAll(graphs []*graph.Graph) ([][]float64, error) {
 					if i >= len(misses) {
 						return
 					}
-					embs[i], errs[i] = e.ghn.EmbedKeyed(misses[i].g, misses[i].key, prec)
+					embs[i], errs[i] = e.ghn.EmbedKeyed(misses[i].g, misses[i].key, ghn.Float64)
 				}
 			}()
 		}

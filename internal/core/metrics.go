@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"log"
 	"net/http"
 	"strconv"
@@ -82,32 +81,6 @@ func traceFrom(r *http.Request) *obs.Trace {
 	return tr
 }
 
-// statusRecorder captures the status code a handler writes so the
-// middleware can label the request counter. A handler that writes a body
-// without an explicit WriteHeader implies 200, mirroring net/http.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.code == 0 {
-		r.code = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	n, err := r.ResponseWriter.Write(b)
-	if err != nil {
-		return n, fmt.Errorf("core: response write: %w", err)
-	}
-	return n, nil
-}
-
 // instrument wraps h with the observability middleware: request-ID
 // propagation, in-flight gauge, per-status request counters, a latency
 // histogram, and — when the client opts in with ?trace=1 — a stage-timed
@@ -141,13 +114,10 @@ func (c *Controller) instrument(endpoint string, h http.HandlerFunc) http.Handle
 			r = withTrace(r, tr)
 		}
 
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := &obs.StatusRecorder{ResponseWriter: w}
 		h(rec, r)
 
-		code := rec.code
-		if code == 0 {
-			code = http.StatusOK
-		}
+		code := rec.Code()
 		reg.Counter(counterPrefix + strconv.Itoa(code)).Inc()
 		reg.Histogram(latencyName, nil).Observe(obs.Since(clock, start).Seconds())
 		if tr != nil {

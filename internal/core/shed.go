@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"predictddl/internal/obs"
 )
 
 // This file is the load-shedding primitive of the admission layer
@@ -82,7 +84,7 @@ const RetryAfterSeconds = 1
 // see one contract.
 func WriteShed(w http.ResponseWriter, msg string) {
 	w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
-	httpError(w, http.StatusServiceUnavailable, msg)
+	obs.HTTPError(w, http.StatusServiceUnavailable, msg)
 }
 
 // SetMaxInflight caps concurrent /v1/predict and /v1/predict/batch

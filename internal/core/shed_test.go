@@ -63,6 +63,7 @@ func TestControllerShedsPastMaxInflight(t *testing.T) {
 
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
+	const probe = `{"dataset":"cifar10","model":"resnet18","num_servers":2}`
 
 	// Occupy the single slot via a request whose body never arrives: the
 	// handler blocks in decode while holding the shed slot.
@@ -83,24 +84,20 @@ func TestControllerShedsPastMaxInflight(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	// Give the slow request time to claim the slot.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		resp, err := http.Post(srv.URL+"/v1/predict", "application/json",
-			strings.NewReader(`{"dataset":"cifar10","model":"resnet18","num_servers":2}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			if got := resp.Header.Get("Retry-After"); got != "1" {
-				t.Fatalf("shed response Retry-After = %q, want \"1\"", got)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never shed; last status %d", resp.StatusCode)
-		}
+	// Send no probe until the stalled request holds the slot: a probe that
+	// wins the race takes the slot itself, the stalled request is shed and
+	// leaves, and nothing ever saturates the controller.
+	waitInflight(t, c, 1)
+	resp, err := http.Post(srv.URL+"/v1/predict", "application/json", strings.NewReader(probe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("probe with the slot held = %d, want 503", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("shed response Retry-After = %q, want \"1\"", got)
 	}
 
 	// Introspection endpoints are never shed.
@@ -128,21 +125,30 @@ func TestControllerShedsPastMaxInflight(t *testing.T) {
 	// Releasing the slot restores service.
 	pw.CloseWithError(io.ErrUnexpectedEOF)
 	wg.Wait()
-	okDeadline := time.Now().Add(2 * time.Second)
-	for {
-		resp, err := http.Post(srv.URL+"/v1/predict", "application/json",
-			strings.NewReader(`{"dataset":"cifar10","model":"resnet18","num_servers":2}`))
-		if err != nil {
-			t.Fatal(err)
+	// The client can see its reply before the handler's deferred Release
+	// runs, so wait for the slot itself rather than retrying probes.
+	waitInflight(t, c, 0)
+	resp, err = http.Post(srv.URL+"/v1/predict", "application/json", strings.NewReader(probe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("probe after release = %d, want 200", resp.StatusCode)
+	}
+}
+
+// waitInflight blocks until the controller's admission limiter holds
+// exactly want requests. The deadline only bounds a broken build; a passing
+// run waits on the event, not on who wins a scheduling race.
+func waitInflight(t *testing.T, c *Controller, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.shedLimiter().Inflight() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("limiter inflight = %d, want %d", c.shedLimiter().Inflight(), want)
 		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			break
-		}
-		if time.Now().After(okDeadline) {
-			t.Fatalf("service never recovered; last status %d", resp.StatusCode)
-		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -18,25 +18,25 @@ import (
 // 200 whenever the batch itself was admissible.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		obs.HTTPError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.opts.MaxBodyBytes))
 	if err != nil {
-		httpError(w, readStatus(err), "invalid request body: "+err.Error())
+		obs.HTTPError(w, readStatus(err), "invalid request body: "+err.Error())
 		return
 	}
 	var req core.BatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		obs.HTTPError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
 	if len(req.Requests) == 0 {
-		httpError(w, http.StatusBadRequest, "empty batch")
+		obs.HTTPError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	if len(req.Requests) > g.opts.MaxBatchItems {
-		httpError(w, http.StatusRequestEntityTooLarge,
+		obs.HTTPError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d exceeds the %d-item limit; split the request", len(req.Requests), g.opts.MaxBatchItems))
 		return
 	}
@@ -45,7 +45,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := clock.Now()
 	results := g.fanout(r, req.Requests)
 	g.fanoutHist.Observe(obs.Since(clock, start).Seconds())
-	writeJSON(w, core.BatchResponse{Results: results})
+	obs.WriteJSON(w, core.BatchResponse{Results: results})
 }
 
 // fanout routes every item to its owning shard, sends one sub-batch per

@@ -274,39 +274,11 @@ func (g *Gateway) instrument(endpoint string, h http.HandlerFunc) http.HandlerFu
 		w.Header().Set(obs.RequestIDHeader, id)
 		r.Header.Set(obs.RequestIDHeader, id) // forwarded to the shard
 
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := &obs.StatusRecorder{ResponseWriter: w}
 		h(rec, r)
 
-		code := rec.code
-		if code == 0 {
-			code = http.StatusOK
-		}
+		code := rec.Code()
 		reg.Counter(counterPrefix + strconv.Itoa(code)).Inc()
 		reg.Histogram(latencyName, nil).Observe(obs.Since(clock, start).Seconds())
 	}
-}
-
-// statusRecorder mirrors the controller's middleware recorder: it captures
-// the status a handler writes so the counter can be labeled.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.code == 0 {
-		r.code = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	n, err := r.ResponseWriter.Write(b)
-	if err != nil {
-		return n, fmt.Errorf("gateway: response write: %w", err)
-	}
-	return n, nil
 }

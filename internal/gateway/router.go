@@ -108,17 +108,17 @@ func (g *Gateway) forwardOnce(r *http.Request, replica, path, rawQuery string, b
 // not overloaded, so no Retry-After.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		obs.HTTPError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.opts.MaxBodyBytes))
 	if err != nil {
-		httpError(w, readStatus(err), "invalid request body: "+err.Error())
+		obs.HTTPError(w, readStatus(err), "invalid request body: "+err.Error())
 		return
 	}
 	var req core.PredictRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		obs.HTTPError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
 
@@ -152,7 +152,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 // zoo is code, identical on all of them.
 func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		obs.HTTPError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	excluded := make(map[string]bool)
@@ -173,7 +173,7 @@ func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request) {
 		relayResponse(w, res)
 		return
 	}
-	httpError(w, http.StatusServiceUnavailable, "degraded: no live replicas")
+	obs.HTTPError(w, http.StatusServiceUnavailable, "degraded: no live replicas")
 }
 
 // liveFirst returns the first live, non-excluded replica in sorted order.
@@ -209,7 +209,7 @@ func writeDegraded(w http.ResponseWriter, dataset string) {
 	if dataset != "" {
 		msg = fmt.Sprintf("degraded: no live replica for dataset %q", dataset)
 	}
-	httpError(w, http.StatusServiceUnavailable, msg)
+	obs.HTTPError(w, http.StatusServiceUnavailable, msg)
 }
 
 // readStatus maps a body-read failure: over the admission cap → 413,
@@ -220,18 +220,4 @@ func readStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers already sent; nothing recoverable.
-		return
-	}
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"predictddl/internal/core"
+	"predictddl/internal/obs"
 )
 
 // ReplicaStatus is one shard's row in the topology view.
@@ -37,10 +38,10 @@ type TopologyStatus struct {
 // whole cluster, and the union makes the view robust while it converges.
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
+		obs.HTTPError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	writeJSON(w, g.TopologyStatus(r))
+	obs.WriteJSON(w, g.TopologyStatus(r))
 }
 
 // TopologyStatus assembles the aggregated status (also used by tests and

@@ -113,13 +113,9 @@ type GHN struct {
 	// Callers must treat it as read-only.
 	ones []float64
 
-	// Inference fast path (infer.go): float64 weight views aliasing the
-	// live parameters, a lazily built float32 snapshot, per-precision
-	// pools of scratch arenas, and the fingerprint-keyed topology cache.
-	inf64    inferNet[float64]
-	inf32    atomic.Pointer[inferNet[float32]]
-	pool64   sync.Pool
-	pool32   sync.Pool
+	// Inference fast path (infer.go): a pool of scratch arenas and the
+	// fingerprint-keyed topology cache.
+	pool     sync.Pool
 	topoMu   sync.Mutex
 	topo     map[string]*topoInfo //ddlvet:guardedby topoMu
 	topoFIFO []string             //ddlvet:guardedby topoMu
@@ -342,18 +338,18 @@ func (g *GHN) gainRow(op graph.OpType) []float64 {
 // needs to separate e.g. ResNet-50 from ResNet-101. The projection keeps
 // the embedding at the paper's fixed dimensionality (e.g. 32).
 //
-// Embed runs the tape-free fast path (infer.go) at float64, which is
-// bit-identical to the training forward pass; EmbedReference keeps the
-// original tape-building route as the equivalence oracle.
+// Embed runs the tape-free fast path (infer.go), which is bit-identical to
+// the training forward pass; EmbedReference keeps the original
+// tape-building route as the equivalence oracle.
 func (g *GHN) Embed(gr *graph.Graph) ([]float64, error) {
 	return g.EmbedKeyed(gr, gr.Fingerprint(), Float64)
 }
 
 // EmbedReference computes the embedding through the training forward pass
 // — building the full backprop tape and discarding it. It is the reference
-// implementation the fast path is tested against (bit-identical at
-// float64) and the baseline the embed benchmarks compare to; serving
-// callers should use Embed.
+// implementation the fast path is tested against (bit-identical) and the
+// baseline the embed benchmarks compare to; serving callers should use
+// Embed.
 func (g *GHN) EmbedReference(gr *graph.Graph) ([]float64, error) {
 	st, err := g.forward(gr)
 	if err != nil {

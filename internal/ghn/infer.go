@@ -8,13 +8,11 @@
 // calls into a strided gather, so steady-state Embed allocates nothing but
 // the result slice.
 //
-// Two precisions share the generic kernels: the float64 route aliases the
-// live parameters and is bit-identical to the tape path (the floatorder
-// determinism contract); the float32 route runs on a weight snapshot taken
-// lazily at first use and is deterministic per precision, covered by its
-// own golden outputs. Scratch-arena ownership rule: no pooled buffer
-// escapes Embed — results are copied into fresh slices before the arena
-// returns to the pool.
+// It reads the live parameters and is bit-identical to the tape path (the
+// floatorder determinism contract), which EmbedReference keeps as the test
+// oracle. Scratch-arena ownership rule: no pooled buffer escapes Embed —
+// results are copied into fresh slices before the arena returns to the
+// pool.
 package ghn
 
 import (
@@ -23,185 +21,92 @@ import (
 
 	"predictddl/internal/graph"
 	"predictddl/internal/nn"
-	"predictddl/internal/tensor"
 )
 
-// Precision selects the numeric type the inference fast path runs at.
+// Precision is a one-value shim: float64 is the only inference precision
+// (DESIGN.md §10, "Removed: float32 route"). The type, its constant and
+// EmbedKeyed's third parameter stay only because bench/trace.go, which is
+// frozen between benchmark PRs, calls EmbedKeyed(g, fp, ghn.Float64).
 type Precision uint8
 
-const (
-	// Float64 runs inference at full precision, bit-identical to the
-	// training forward pass.
-	Float64 Precision = iota
-	// Float32 runs inference on a float32 snapshot of the weights: half
-	// the memory traffic, deterministic per precision, but not
-	// bit-comparable to the float64 route. The snapshot is taken at the
-	// first float32 embed; weights must not change afterwards (Train and
-	// Load always build fresh networks, so this holds everywhere in-repo).
-	Float32
-)
-
-// String names the precision for flags and diagnostics.
-func (p Precision) String() string {
-	if p == Float32 {
-		return "float32"
-	}
-	return "float64"
-}
-
-// inferNet bundles precision-generic weight views of every module the
-// embed path touches. The float64 instance aliases live parameter storage
-// (always fresh); the float32 instance is a converted snapshot.
-type inferNet[F tensor.Float] struct {
-	embed   nn.LinearView[F]
-	msgFw   nn.MLPView[F]
-	msgBw   nn.MLPView[F]
-	msgSpFw nn.MLPView[F]
-	msgSpBw nn.MLPView[F]
-	gru     nn.GRUView[F]
-	opGain  []F // NumOpTypes x d row-major
-	ones    []F
-	proj    nn.LinearView[F]
-}
-
-// gain returns the per-op message gain row (or the shared ones vector when
-// normalization is off). Read-only.
-func (n *inferNet[F]) gain(op graph.OpType, d int, normalize bool) []F {
-	if !normalize {
-		return n.ones
-	}
-	return n.opGain[int(op)*d : (int(op)+1)*d]
-}
+// Float64 is the only precision; see Precision.
+const Float64 Precision = 0
 
 // inferScratch is one pooled arena holding every intermediate an embed
 // needs: the flat node-state matrix plus fixed-size gate/message/readout
 // buffers. Arenas are owned by the pool; embedFast results are copied out
 // before the arena is returned.
-type inferScratch[F tensor.Float] struct {
-	h       []F // n x d node states, grown to the largest graph seen
-	raw     []F // d: aggregated message before gain
-	m       []F // d: gain-scaled message (GRU input)
-	msgOut  []F // d: one neighbor's MLP output
-	tmp1    []F // MLP ping-pong scratch
-	tmp2    []F
-	hNew    []F // d: GRU output before write-back
-	gru     *nn.GRUScratch[F]
-	readout []F // 3d
-	out     []F // EmbedDim
+type inferScratch struct {
+	h       []float64 // n x d node states, grown to the largest graph seen
+	raw     []float64 // d: aggregated message before gain
+	m       []float64 // d: gain-scaled message (GRU input)
+	msgOut  []float64 // d: one neighbor's MLP output
+	tmp1    []float64 // MLP ping-pong scratch
+	tmp2    []float64
+	hNew    []float64 // d: GRU output before write-back
+	gru     *nn.GRUScratch
+	readout []float64 // 3d
+	out     []float64 // EmbedDim
 }
 
-func newInferScratch[F tensor.Float](d, embedDim int) *inferScratch[F] {
-	return &inferScratch[F]{
-		raw:     make([]F, d),
-		m:       make([]F, d),
-		msgOut:  make([]F, d),
-		tmp1:    make([]F, d),
-		tmp2:    make([]F, d),
-		hNew:    make([]F, d),
-		gru:     nn.NewGRUScratch[F](d),
-		readout: make([]F, 3*d),
-		out:     make([]F, embedDim),
+func newInferScratch(d, embedDim int) *inferScratch {
+	return &inferScratch{
+		raw:     make([]float64, d),
+		m:       make([]float64, d),
+		msgOut:  make([]float64, d),
+		tmp1:    make([]float64, d),
+		tmp2:    make([]float64, d),
+		hNew:    make([]float64, d),
+		gru:     nn.NewGRUScratch(d),
+		readout: make([]float64, 3*d),
+		out:     make([]float64, embedDim),
 	}
 }
 
 // ensureNodes grows the node-state arena to hold n nodes of dimension d.
-func (sc *inferScratch[F]) ensureNodes(n, d int) {
+func (sc *inferScratch) ensureNodes(n, d int) {
 	if cap(sc.h) < n*d {
-		sc.h = make([]F, n*d)
+		sc.h = make([]float64, n*d)
 	}
 	sc.h = sc.h[:n*d]
 }
 
 // initInfer wires the fast-path state; called once from New.
 func (g *GHN) initInfer() {
-	g.inf64 = inferNet[float64]{
-		embed:   g.embed.InferView(),
-		msgFw:   g.msgFw.InferView(),
-		msgBw:   g.msgBw.InferView(),
-		msgSpFw: g.msgSpFw.InferView(),
-		msgSpBw: g.msgSpBw.InferView(),
-		gru:     g.gru.InferView(),
-		opGain:  g.opGain.W.Data(),
-		ones:    g.ones,
-		proj:    g.proj.InferView(),
-	}
 	d, ed := g.cfg.HiddenDim, g.cfg.EmbedDim
-	g.pool64.New = func() any { return newInferScratch[float64](d, ed) }
-	g.pool32.New = func() any { return newInferScratch[float32](d, ed) }
+	g.pool.New = func() any { return newInferScratch(d, ed) }
 	g.topoMu.Lock()
 	g.topo = make(map[string]*topoInfo)
 	g.topoMu.Unlock()
 }
 
-// infer32 returns the float32 weight snapshot, building it on first use.
-func (g *GHN) infer32() *inferNet[float32] {
-	if net := g.inf32.Load(); net != nil {
-		return net
-	}
-	ones := make([]float32, len(g.ones))
-	for i := range ones {
-		ones[i] = 1
-	}
-	opGain := make([]float32, len(g.opGain.W.Data()))
-	for i, v := range g.opGain.W.Data() {
-		opGain[i] = float32(v)
-	}
-	net := &inferNet[float32]{
-		embed:   g.embed.InferView32(),
-		msgFw:   g.msgFw.InferView32(),
-		msgBw:   g.msgBw.InferView32(),
-		msgSpFw: g.msgSpFw.InferView32(),
-		msgSpBw: g.msgSpBw.InferView32(),
-		gru:     g.gru.InferView32(),
-		opGain:  opGain,
-		ones:    ones,
-		proj:    g.proj.InferView32(),
-	}
-	if !g.inf32.CompareAndSwap(nil, net) {
-		return g.inf32.Load() // concurrent builder won; snapshots are identical
-	}
-	return net
-}
-
 // EmbedKeyed is Embed with the graph's content fingerprint already
-// computed (the engine hashes once per request and passes the key down)
-// and an explicit precision. key must equal gr.Fingerprint(); a wrong key
-// would poison the topology cache for other graphs sharing it.
+// computed (the engine hashes once per request and passes the key down).
+// key must equal gr.Fingerprint(); a wrong key would poison the topology
+// cache for other graphs sharing it. p must be Float64 (see Precision).
 func (g *GHN) EmbedKeyed(gr *graph.Graph, key string, p Precision) ([]float64, error) {
 	if m := g.metrics.Load(); m != nil && m.EmbedSeconds != nil {
 		defer m.EmbedSeconds.Time(m.clock())()
+	}
+	if p != Float64 {
+		return nil, fmt.Errorf("ghn: unknown precision %d", p)
 	}
 	tp, err := g.topology(gr, key)
 	if err != nil {
 		return nil, err
 	}
-	switch p {
-	case Float64:
-		sc := g.pool64.Get().(*inferScratch[float64])
-		res := embedFast(g, &g.inf64, sc, gr, tp)
-		out := make([]float64, len(res))
-		copy(out, res)
-		g.pool64.Put(sc)
-		return out, nil
-	case Float32:
-		net := g.infer32()
-		sc := g.pool32.Get().(*inferScratch[float32])
-		res := embedFast(g, net, sc, gr, tp)
-		out := make([]float64, len(res))
-		for i, v := range res {
-			out[i] = float64(v) // exact widening; goldens compare bit-for-bit
-		}
-		g.pool32.Put(sc)
-		return out, nil
-	default:
-		return nil, fmt.Errorf("ghn: unknown precision %d", p)
-	}
+	sc := g.pool.Get().(*inferScratch)
+	res := g.embedFast(sc, gr, tp)
+	out := make([]float64, len(res))
+	copy(out, res)
+	g.pool.Put(sc)
+	return out, nil
 }
 
 // embedFast runs the full tape-free embed on one scratch arena and returns
 // the arena-owned result slice; the caller copies it out before returning
 // the arena to the pool.
-func embedFast[F tensor.Float](g *GHN, net *inferNet[F], sc *inferScratch[F], gr *graph.Graph, tp *topoInfo) []F {
+func (g *GHN) embedFast(sc *inferScratch, gr *graph.Graph, tp *topoInfo) []float64 {
 	d := g.cfg.HiddenDim
 	n := gr.NumNodes()
 	sc.ensureNodes(n, d)
@@ -211,13 +116,13 @@ func embedFast[F tensor.Float](g *GHN, net *inferNet[F], sc *inferScratch[F], gr
 	// per output element instead of a NodeFeatureDim-wide dot product. The
 	// contribution order (op column, channel column, spatial column, bias)
 	// matches the ascending-index order of Linear.Forward's dot product,
-	// so the float64 route stays bit-identical.
+	// so the result stays bit-identical to the tape path.
 	in := NodeFeatureDim
 	chIdx, hwIdx := graph.NumOpTypes, graph.NumOpTypes+1
-	w, bias := net.embed.W, net.embed.B
+	w, bias := g.embed.Weight.W.Data(), g.embed.Bias.W.Row(0)
 	for v, node := range gr.Nodes {
-		fch := F(math.Log1p(float64(node.OutChannels)) / 10)
-		fhw := F(math.Log1p(float64(node.OutH*node.OutW)) / 10)
+		fch := math.Log1p(float64(node.OutChannels)) / 10
+		fhw := math.Log1p(float64(node.OutH*node.OutW)) / 10
 		op := int(node.Op)
 		hrow := sc.h[v*d : (v+1)*d]
 		for j := 0; j < d; j++ {
@@ -227,9 +132,9 @@ func embedFast[F tensor.Float](g *GHN, net *inferNet[F], sc *inferScratch[F], gr
 	}
 
 	for t := 0; t < g.cfg.Passes; t++ {
-		sweepFast(g, net, sc, gr, tp.order, false, tp.spFw)
+		g.sweepFast(sc, gr, tp.order, false, tp.spFw)
 		if !g.cfg.ForwardOnly {
-			sweepFast(g, net, sc, gr, tp.rev, true, tp.spBw)
+			g.sweepFast(sc, gr, tp.rev, true, tp.spBw)
 		}
 	}
 
@@ -242,24 +147,24 @@ func embedFast[F tensor.Float](g *GHN, net *inferNet[F], sc *inferScratch[F], gr
 			mp[i] += x
 		}
 	}
-	inv := F(1 / float64(n))
+	inv := 1 / float64(n)
 	for i := range mp {
 		mp[i] *= inv
 	}
 	copy(sc.readout[d:2*d], sc.h[tp.termIn*d:(tp.termIn+1)*d])
 	copy(sc.readout[2*d:3*d], sc.h[tp.termOut*d:(tp.termOut+1)*d])
-	net.proj.InferInto(sc.out, sc.readout)
+	g.proj.InferInto(sc.out, sc.readout)
 	return sc.out
 }
 
 // sweepFast is the tape-free counterpart of sweep: one directed traversal
 // updating node states in place, arithmetic-identical to the tape path
 // (same aggregation order, same mean/gain scaling, same GRU association).
-func sweepFast[F tensor.Float](g *GHN, net *inferNet[F], sc *inferScratch[F], gr *graph.Graph, order []int, reverse bool, sp [][]spEdge) {
+func (g *GHN) sweepFast(sc *inferScratch, gr *graph.Graph, order []int, reverse bool, sp [][]spEdge) {
 	d := g.cfg.HiddenDim
-	msg, msgSp := &net.msgFw, &net.msgSpFw
+	msg, msgSp := g.msgFw, g.msgSpFw
 	if reverse {
-		msg, msgSp = &net.msgBw, &net.msgSpBw
+		msg, msgSp = g.msgBw, g.msgSpBw
 	}
 	for _, v := range order {
 		var nbrs []int
@@ -286,21 +191,21 @@ func sweepFast[F tensor.Float](g *GHN, net *inferNet[F], sc *inferScratch[F], gr
 		}
 		for _, e := range sps {
 			msgSp.InferInto(sc.msgOut, sc.h[e.u*d:(e.u+1)*d], sc.tmp1, sc.tmp2)
-			s := F(1 / e.s)
+			s := 1 / e.s
 			for i, x := range sc.msgOut {
 				raw[i] += s * x
 			}
 		}
-		inv := F(1 / float64(count))
+		inv := 1 / float64(count)
 		for i := range raw {
 			raw[i] *= inv
 		}
-		gain := net.gain(gr.Nodes[v].Op, d, g.cfg.Normalize)
+		gain := g.gainRow(gr.Nodes[v].Op)
 		for i := range sc.m {
 			sc.m[i] = gain[i] * raw[i]
 		}
 		hrow := sc.h[v*d : (v+1)*d]
-		net.gru.InferInto(sc.hNew, sc.m, hrow, sc.gru)
+		g.gru.InferInto(sc.hNew, sc.m, hrow, sc.gru)
 		copy(hrow, sc.hNew)
 	}
 }

@@ -1,18 +1,11 @@
 package ghn
 
 import (
-	"encoding/json"
-	"flag"
-	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"predictddl/internal/graph"
 	"predictddl/internal/tensor"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // equivalenceCorpus is the seeded graph set the fast path is checked
 // against: zoo families with different topology shapes (plain chains,
@@ -30,7 +23,7 @@ func equivalenceCorpus(t *testing.T) []*graph.Graph {
 	return out
 }
 
-// The float64 fast path must reproduce the tape path bit-for-bit on every
+// The fast path must reproduce the tape path bit-for-bit on every
 // corpus graph, across every config axis that changes the traversal
 // (virtual edges, normalization, direction, passes, odd hidden sizes).
 func TestFastPathMatchesTapePathBitwise(t *testing.T) {
@@ -76,8 +69,8 @@ func TestFastPathMatchesTapePathBitwise(t *testing.T) {
 }
 
 // Equivalence must also hold on trained weights (the serving scenario):
-// the float64 views alias live parameter storage, so training updates are
-// visible to the fast path with no snapshot staleness.
+// the fast path reads live parameter storage, so training updates are
+// visible to it with no snapshot staleness.
 func TestFastPathMatchesTapePathAfterTraining(t *testing.T) {
 	g, _, err := Train(Config{HiddenDim: 16}, TrainConfig{Graphs: 12, Epochs: 2, Seed: 3})
 	if err != nil {
@@ -144,19 +137,6 @@ func TestEmbedAllocRegression(t *testing.T) {
 	if ref < 10*embed {
 		t.Fatalf("tape path allocates %v per run vs fast path %v — want >= 10x reduction", ref, embed)
 	}
-
-	// The float32 route pools its own arenas.
-	if _, err := g.EmbedKeyed(gr, key, Float32); err != nil {
-		t.Fatal(err)
-	}
-	keyed32 := testing.AllocsPerRun(200, func() {
-		if _, err := g.EmbedKeyed(gr, key, Float32); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if keyed32 > 2 {
-		t.Fatalf("warmed float32 EmbedKeyed allocates %v per run, want <= 2", keyed32)
-	}
 }
 
 // EmbedAll's steady-state allocations must stay linear in the output size
@@ -222,81 +202,7 @@ func TestEmbedKeyedRejectsUnknownPrecision(t *testing.T) {
 	}
 }
 
-func TestPrecisionString(t *testing.T) {
-	if Float64.String() != "float64" || Float32.String() != "float32" {
-		t.Fatalf("precision names: %q / %q", Float64, Float32)
-	}
-}
-
-// The float32 route is deterministic per precision and close to the
-// float64 route; its exact outputs are pinned by a golden file
-// (regenerate with -update).
-func TestFloat32EmbedGolden(t *testing.T) {
-	g := New(DefaultConfig(), tensor.NewRNG(42))
-	got := map[string][]float64{}
-	for _, name := range []string{"squeezenet1_1", "resnet18"} {
-		gr := graph.MustBuild(name, graph.DefaultConfig())
-		e32, err := g.EmbedKeyed(gr, gr.Fingerprint(), Float32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := g.EmbedKeyed(gr, gr.Fingerprint(), Float32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e64, err := g.Embed(gr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range e32 {
-			if e32[i] != again[i] {
-				t.Fatalf("%s: float32 embed not deterministic at %d", name, i)
-			}
-			if e32[i] != float64(float32(e32[i])) {
-				t.Fatalf("%s: element %d is not an exact float32 value", name, i)
-			}
-			if math.Abs(e32[i]-e64[i]) > 1e-3 {
-				t.Fatalf("%s: float32 element %d drifts from float64: %v vs %v", name, i, e32[i], e64[i])
-			}
-		}
-		got[name] = e32
-	}
-
-	path := filepath.Join("testdata", "embed_float32.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	var want map[string][]float64
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	for name, wv := range want {
-		gv, ok := got[name]
-		if !ok || len(gv) != len(wv) {
-			t.Fatalf("golden model %s missing or wrong length", name)
-		}
-		for i := range wv {
-			if gv[i] != wv[i] {
-				t.Fatalf("%s: float32 golden mismatch at %d: got %v want %v", name, i, gv[i], wv[i])
-			}
-		}
-	}
-}
-
-// Concurrent embeds share the pools and topology cache; under the race
+// Concurrent embeds share the arena pool and topology cache; under the race
 // detector this doubles as a safety check, and results must match the
 // serial ones exactly.
 func TestEmbedConcurrentPoolSafety(t *testing.T) {

@@ -1,12 +1,6 @@
-// Inference fast path: allocation-free InferInto methods plus generic
-// weight views that let the same kernels run at float32.
-//
-// The float64 views alias the live parameter storage (zero copy, never
-// stale — training updates are visible immediately) and are bit-identical
-// to the corresponding Forward methods. The float32 views are converted
-// snapshots of the weights at construction time; callers own their
-// refresh policy (the GHN rebuilds them lazily and documents that weights
-// are frozen once serving starts).
+// Inference fast path: allocation-free InferInto methods that read the
+// live parameter storage (never stale — training updates are visible
+// immediately) and are bit-identical to the corresponding Forward methods.
 package nn
 
 import (
@@ -16,110 +10,12 @@ import (
 	"predictddl/internal/tensor"
 )
 
-// applyActG applies an activation element-wise in place. The float64
-// instantiation calls Activation.Apply directly (bit-identical to Forward);
-// float32 rounds the float64 result back down, which is the standard
-// round-to-nearest contraction.
-func applyActG[F tensor.Float](act Activation, v []F) {
-	for i, x := range v {
-		v[i] = F(act.Apply(float64(x)))
-	}
-}
-
-// LinearView is a flat, precision-generic view of a Linear layer's weights.
-type LinearView[F tensor.Float] struct {
-	In, Out int
-	W       []F // Out x In row-major
-	B       []F // Out
-}
-
-// InferInto computes dst = W x + b without allocating. dst must have
-// length Out and x length In; dst must not alias x.
-func (l LinearView[F]) InferInto(dst, x []F) {
-	tensor.MatVecBiasG(dst[:l.Out], l.W, l.In, x, l.B)
-}
-
-// InferView returns a float64 view aliasing the layer's live parameters.
-func (l *Linear) InferView() LinearView[float64] {
-	return LinearView[float64]{In: l.In, Out: l.Out, W: l.Weight.W.Data(), B: l.Bias.W.Row(0)}
-}
-
-// InferView32 returns a float32 snapshot of the layer's parameters.
-func (l *Linear) InferView32() LinearView[float32] {
-	return LinearView[float32]{In: l.In, Out: l.Out, W: convert32(l.Weight.W.Data()), B: convert32(l.Bias.W.Row(0))}
-}
-
-// InferInto computes y = W x + b into dst without allocating.
+// InferInto computes y = W x + b into dst without allocating. dst must have
+// length Out and x length In (the kernel panics otherwise); dst must not
+// alias x.
 func (l *Linear) InferInto(dst, x []float64) {
-	if len(x) != l.In || len(dst) != l.Out {
-		panic(fmt.Sprintf("nn: linear inferinto shapes dst=%d x=%d, want %d/%d", len(dst), len(x), l.Out, l.In))
-	}
-	l.InferView().InferInto(dst, x)
-}
-
-// MLPView is a precision-generic view of an MLP's layers.
-type MLPView[F tensor.Float] struct {
-	Layers []LinearView[F]
-	Hidden Activation
-	Output Activation
-}
-
-// InferView returns a float64 view aliasing the network's live parameters.
-// The view allocates its layer slice; build it once at setup, not per call.
-func (m *MLP) InferView() MLPView[float64] {
-	v := MLPView[float64]{Hidden: m.hiddenAct, Output: m.outputAct}
-	for _, l := range m.layers {
-		v.Layers = append(v.Layers, l.InferView())
-	}
-	return v
-}
-
-// InferView32 returns a float32 snapshot of the network's parameters.
-func (m *MLP) InferView32() MLPView[float32] {
-	v := MLPView[float32]{Hidden: m.hiddenAct, Output: m.outputAct}
-	for _, l := range m.layers {
-		v.Layers = append(v.Layers, l.InferView32())
-	}
-	return v
-}
-
-// MaxDim returns the widest layer output — the scratch size InferInto's
-// ping-pong buffers need.
-func (m MLPView[F]) MaxDim() int {
-	mx := 0
-	for _, l := range m.Layers {
-		if l.Out > mx {
-			mx = l.Out
-		}
-	}
-	return mx
-}
-
-// InferInto runs the network into dst without allocating. tmp1 and tmp2 are
-// caller-provided ping-pong buffers of at least MaxDim elements; they must
-// not alias x or dst. The float64 instantiation matches Forward
-// bit-for-bit.
-func (m MLPView[F]) InferInto(dst, x, tmp1, tmp2 []F) {
-	n := len(m.Layers)
-	cur := x
-	for i, l := range m.Layers {
-		var out []F
-		switch {
-		case i == n-1:
-			out = dst[:l.Out]
-		case i%2 == 0:
-			out = tmp1[:l.Out]
-		default:
-			out = tmp2[:l.Out]
-		}
-		l.InferInto(out, cur)
-		act := m.Hidden
-		if i == n-1 {
-			act = m.Output
-		}
-		applyActG(act, out)
-		cur = out
-	}
+	// Bias is 1 x Out, so Data() is its single row.
+	tensor.MatVecBias(dst, l.Weight.W.Data(), l.In, x, l.Bias.W.Data())
 }
 
 // MaxDim returns the widest layer output — the scratch size InferInto
@@ -163,111 +59,48 @@ func (m *MLP) InferInto(dst, x, tmp1, tmp2 []float64) {
 }
 
 // GRUScratch holds the gate buffers a GRU inference step writes into, so
-// steady-state callers allocate nothing. wide is the float64 staging
-// buffer the narrower precisions route their gate nonlinearities through.
-type GRUScratch[F tensor.Float] struct {
-	z, r, rh, c []F
-	wide        []float64
+// steady-state callers allocate nothing.
+type GRUScratch struct {
+	z, r, rh, c []float64
 }
 
 // NewGRUScratch returns scratch for a cell with the given hidden size.
-func NewGRUScratch[F tensor.Float](hidden int) *GRUScratch[F] {
-	return &GRUScratch[F]{
-		z:    make([]F, hidden),
-		r:    make([]F, hidden),
-		rh:   make([]F, hidden),
-		c:    make([]F, hidden),
-		wide: make([]float64, hidden),
-	}
-}
-
-// mapWide applies the float64 scalar function f element-wise to v. The
-// float64 instantiation applies it directly; narrower precisions batch-
-// convert the whole vector through wide first, because interleaving a
-// float32↔float64 conversion with every math.Exp/math.Tanh call serializes
-// the FP pipeline (measured ~5x slower than the batched form on amd64).
-func mapWide[F tensor.Float](v []F, wide []float64, f func(float64) float64) {
-	if w, ok := any(v).([]float64); ok {
-		for i, x := range w {
-			w[i] = f(x)
-		}
-		return
-	}
-	for i, x := range v {
-		wide[i] = float64(x)
-	}
-	for i, x := range wide {
-		wide[i] = f(x)
-	}
-	for i := range v {
-		v[i] = F(wide[i])
-	}
-}
-
-// GRUView is a precision-generic view of a GRUCell's weights.
-type GRUView[F tensor.Float] struct {
-	In, Hidden             int
-	Wz, Wr, Wc, Uz, Ur, Uc []F // Hidden x In (W*) and Hidden x Hidden (U*)
-	Bz, Br, Bc             []F // Hidden
-}
-
-// InferView returns a float64 view aliasing the cell's live parameters.
-func (g *GRUCell) InferView() GRUView[float64] {
-	return GRUView[float64]{
-		In: g.InDim, Hidden: g.HiddenDim,
-		Wz: g.Wz.W.Data(), Wr: g.Wr.W.Data(), Wc: g.Wc.W.Data(),
-		Uz: g.Uz.W.Data(), Ur: g.Ur.W.Data(), Uc: g.Uc.W.Data(),
-		Bz: g.Bz.W.Row(0), Br: g.Br.W.Row(0), Bc: g.Bc.W.Row(0),
-	}
-}
-
-// InferView32 returns a float32 snapshot of the cell's parameters.
-func (g *GRUCell) InferView32() GRUView[float32] {
-	return GRUView[float32]{
-		In: g.InDim, Hidden: g.HiddenDim,
-		Wz: convert32(g.Wz.W.Data()), Wr: convert32(g.Wr.W.Data()), Wc: convert32(g.Wc.W.Data()),
-		Uz: convert32(g.Uz.W.Data()), Ur: convert32(g.Ur.W.Data()), Uc: convert32(g.Uc.W.Data()),
-		Bz: convert32(g.Bz.W.Row(0)), Br: convert32(g.Br.W.Row(0)), Bc: convert32(g.Bc.W.Row(0)),
+func NewGRUScratch(hidden int) *GRUScratch {
+	return &GRUScratch{
+		z:  make([]float64, hidden),
+		r:  make([]float64, hidden),
+		rh: make([]float64, hidden),
+		c:  make([]float64, hidden),
 	}
 }
 
 // InferInto computes the next hidden state into hNew without allocating.
-// hNew must not alias h; s provides the gate buffers. The float64
-// instantiation matches Forward bit-for-bit: each gate pre-activation
-// evaluates as (dot(W,x) + dot(U,h)) + b, the same association Forward's
-// affine uses.
-func (g GRUView[F]) InferInto(hNew, x, h []F, s *GRUScratch[F]) {
-	tensor.MatVecG(s.z, g.Wz, g.In, x)
-	tensor.MatVecAccBiasG(s.z, g.Uz, g.Hidden, h, g.Bz)
-	tensor.MatVecG(s.r, g.Wr, g.In, x)
-	tensor.MatVecAccBiasG(s.r, g.Ur, g.Hidden, h, g.Br)
-	mapWide(s.z, s.wide, Sigmoidf)
-	mapWide(s.r, s.wide, Sigmoidf)
+// hNew must not alias h; s provides the gate buffers (the kernels panic on
+// any other shape mismatch). Output matches Forward bit-for-bit: each gate
+// pre-activation evaluates as (dot(W,x) + dot(U,h)) + b, the same
+// association Forward's affine uses.
+func (g *GRUCell) InferInto(hNew, x, h []float64, s *GRUScratch) {
+	in, hid := g.InDim, g.HiddenDim
+	if len(hNew) != hid {
+		panic(fmt.Sprintf("nn: gru inferinto hNew=%d, want %d", len(hNew), hid))
+	}
+	tensor.MatVec(s.z, g.Wz.W.Data(), in, x)
+	tensor.MatVecAccBias(s.z, g.Uz.W.Data(), hid, h, g.Bz.W.Data())
+	tensor.MatVec(s.r, g.Wr.W.Data(), in, x)
+	tensor.MatVecAccBias(s.r, g.Ur.W.Data(), hid, h, g.Br.W.Data())
+	for i := range s.z {
+		s.z[i] = Sigmoidf(s.z[i])
+		s.r[i] = Sigmoidf(s.r[i])
+	}
 	for i := range s.rh {
 		s.rh[i] = s.r[i] * h[i]
 	}
-	tensor.MatVecG(s.c, g.Wc, g.In, x)
-	tensor.MatVecAccBiasG(s.c, g.Uc, g.Hidden, s.rh, g.Bc)
-	mapWide(s.c, s.wide, math.Tanh)
+	tensor.MatVec(s.c, g.Wc.W.Data(), in, x)
+	tensor.MatVecAccBias(s.c, g.Uc.W.Data(), hid, s.rh, g.Bc.W.Data())
+	for i := range s.c {
+		s.c[i] = math.Tanh(s.c[i])
+	}
 	for i := range hNew {
 		hNew[i] = (1-s.z[i])*h[i] + s.z[i]*s.c[i]
 	}
-}
-
-// InferInto computes the next hidden state into hNew without allocating.
-func (g *GRUCell) InferInto(hNew, x, h []float64, s *GRUScratch[float64]) {
-	if len(x) != g.InDim || len(h) != g.HiddenDim || len(hNew) != g.HiddenDim {
-		panic(fmt.Sprintf("nn: gru inferinto shapes x=%d h=%d hNew=%d, want %d/%d/%d",
-			len(x), len(h), len(hNew), g.InDim, g.HiddenDim, g.HiddenDim))
-	}
-	g.InferView().InferInto(hNew, x, h, s)
-}
-
-// convert32 narrows a float64 slice to float32 (round to nearest).
-func convert32(src []float64) []float32 {
-	out := make([]float32, len(src))
-	for i, v := range src {
-		out[i] = float32(v)
-	}
-	return out
 }

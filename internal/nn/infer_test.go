@@ -1,15 +1,14 @@
 package nn
 
 import (
-	"math"
 	"testing"
 
 	"predictddl/internal/tensor"
 )
 
 // Every inference entry point — the allocating reference (Infer) and the
-// scratch-based fast path (InferInto, generic views) — must reproduce the
-// training Forward pass bit-for-bit at float64.
+// scratch-based fast path (InferInto) — must reproduce the training Forward
+// pass bit-for-bit.
 func TestLinearInferIntoMatchesForward(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	l := NewLinear("l", 7, 5, rng)
@@ -39,15 +38,6 @@ func TestMLPInferIntoMatchesForward(t *testing.T) {
 				t.Fatalf("sizes %v: InferInto[%d] = %v, want %v", sizes, i, got[i], want[i])
 			}
 		}
-		// The generic float64 view must agree too.
-		view := m.InferView()
-		m.InferInto(got, x, tmp1, tmp2)
-		view.InferInto(got, x, tmp1, tmp2)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("sizes %v: view InferInto[%d] = %v, want %v", sizes, i, got[i], want[i])
-			}
-		}
 	}
 }
 
@@ -68,7 +58,7 @@ func TestGRUInferIntoMatchesForward(t *testing.T) {
 
 	// Scratch-based fast path.
 	got := make([]float64, 8)
-	s := NewGRUScratch[float64](8)
+	s := NewGRUScratch(8)
 	g.InferInto(got, x, h, s)
 	for i := range want {
 		if got[i] != want[i] {
@@ -103,7 +93,7 @@ func TestInferIntoAllocFree(t *testing.T) {
 	dst := make([]float64, 16)
 	tmp1 := make([]float64, 16)
 	tmp2 := make([]float64, 16)
-	s := NewGRUScratch[float64](16)
+	s := NewGRUScratch(16)
 	allocs := testing.AllocsPerRun(100, func() {
 		l.InferInto(dst, x)
 		m.InferInto(dst, x, tmp1, tmp2)
@@ -111,48 +101,5 @@ func TestInferIntoAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("InferInto allocates %v per run, want 0", allocs)
-	}
-}
-
-// The float32 views run the same kernels at lower precision: results must
-// track the float64 path within single-precision tolerance.
-func TestFloat32ViewsTrackFloat64(t *testing.T) {
-	rng := tensor.NewRNG(6)
-	m := NewMLP("m", []int{8, 12, 6}, ReLU, Identity, rng)
-	g := NewGRUCell("g", 6, 6, rng)
-	x := rng.GlorotMatrix(1, 8).Row(0)
-	want, _ := m.Forward(x)
-
-	mv := m.InferView32()
-	x32 := convert32(x)
-	out32 := make([]float32, 6)
-	tmp1 := make([]float32, mv.MaxDim())
-	tmp2 := make([]float32, mv.MaxDim())
-	mv.InferInto(out32, x32, tmp1, tmp2)
-	for i := range want {
-		if math.Abs(float64(out32[i])-want[i]) > 1e-4 {
-			t.Fatalf("float32 MLP[%d] = %v, float64 %v", i, out32[i], want[i])
-		}
-	}
-
-	h := rng.GlorotMatrix(1, 6).Row(0)
-	hWant, _ := g.Forward(want, h)
-	gv := g.InferView32()
-	h32 := convert32(h)
-	hNew32 := make([]float32, 6)
-	gv.InferInto(hNew32, out32, h32, NewGRUScratch[float32](6))
-	for i := range hWant {
-		if math.Abs(float64(hNew32[i])-hWant[i]) > 1e-3 {
-			t.Fatalf("float32 GRU[%d] = %v, float64 %v", i, hNew32[i], hWant[i])
-		}
-	}
-
-	// Determinism per precision: repeated float32 runs are bit-identical.
-	again := make([]float32, 6)
-	mv.InferInto(again, x32, tmp1, tmp2)
-	for i := range out32 {
-		if again[i] != out32[i] {
-			t.Fatalf("float32 path not deterministic at %d", i)
-		}
 	}
 }

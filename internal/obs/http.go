@@ -9,6 +9,56 @@ import (
 	"strings"
 )
 
+// StatusRecorder captures the status code a handler writes so a request
+// middleware can label its per-status counter.
+type StatusRecorder struct {
+	http.ResponseWriter
+	code int
+}
+
+func (r *StatusRecorder) WriteHeader(code int) {
+	if r.code == 0 {
+		r.code = code
+	}
+	r.ResponseWriter.WriteHeader(code)
+}
+
+func (r *StatusRecorder) Write(b []byte) (int, error) {
+	if r.code == 0 {
+		r.code = http.StatusOK
+	}
+	n, err := r.ResponseWriter.Write(b)
+	if err != nil {
+		return n, fmt.Errorf("obs: response write: %w", err)
+	}
+	return n, nil
+}
+
+// Code reports the recorded status. A handler that wrote nothing, or a body
+// without an explicit WriteHeader, implies 200, mirroring net/http.
+func (r *StatusRecorder) Code() int {
+	if r.code == 0 {
+		return http.StatusOK
+	}
+	return r.code
+}
+
+// WriteJSON replies 200 with v encoded as a JSON document.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		// Headers already sent; nothing recoverable.
+		return
+	}
+}
+
+// HTTPError replies with the given status and a {"error": msg} JSON body.
+func HTTPError(w http.ResponseWriter, code int, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}
+
 // Handler serves the registry as JSON — mounted at /v1/metrics by the
 // controller. The snapshot is sorted by name, so identical states produce
 // identical bytes.
@@ -18,11 +68,7 @@ func Handler(r *Registry) http.Handler {
 			http.Error(w, "GET required", http.StatusMethodNotAllowed)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(r.Snapshot()); err != nil {
-			// Headers already sent; nothing recoverable.
-			return
-		}
+		WriteJSON(w, r.Snapshot())
 	})
 }
 

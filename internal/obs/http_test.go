@@ -88,3 +88,39 @@ func TestTextHandlerDump(t *testing.T) {
 		}
 	}
 }
+
+// The controller and the gateway both reply and label their per-status
+// counters through these helpers, so their wire bytes and the recorder's
+// "first status wins, silence means 200" rule are pinned here once.
+func TestStatusRecorderAndReplyHelpers(t *testing.T) {
+	cases := []struct {
+		name     string
+		handle   func(http.ResponseWriter)
+		wantCode int
+		wantBody string
+	}{
+		{"silent handler", func(http.ResponseWriter) {}, http.StatusOK, ""},
+		{"WriteJSON", func(w http.ResponseWriter) { WriteJSON(w, map[string]int{"n": 1}) },
+			http.StatusOK, `{"n":1}` + "\n"},
+		{"HTTPError", func(w http.ResponseWriter) { HTTPError(w, http.StatusTeapot, "no") },
+			http.StatusTeapot, `{"error":"no"}` + "\n"},
+		{"first status wins", func(w http.ResponseWriter) {
+			w.WriteHeader(http.StatusNotFound)
+			w.WriteHeader(http.StatusOK)
+		}, http.StatusNotFound, ""},
+	}
+	for _, tc := range cases {
+		inner := httptest.NewRecorder()
+		rec := &StatusRecorder{ResponseWriter: inner}
+		tc.handle(rec)
+		if rec.Code() != tc.wantCode || inner.Code != tc.wantCode {
+			t.Errorf("%s: recorded %d, wrote %d, want %d", tc.name, rec.Code(), inner.Code, tc.wantCode)
+		}
+		if got := inner.Body.String(); got != tc.wantBody {
+			t.Errorf("%s: body %q, want %q", tc.name, got, tc.wantBody)
+		}
+		if tc.wantBody != "" && inner.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: content-type %q", tc.name, inner.Header().Get("Content-Type"))
+		}
+	}
+}

@@ -2,46 +2,12 @@ package tensor
 
 import "fmt"
 
-// Float constrains the element type of the generic inference kernels. The
-// training path is float64-only (gradient checks need the headroom); the
-// inference fast path instantiates the same kernels at float32 to halve
-// memory traffic. Each instantiation is deterministic on its own: every
-// accumulation runs in ascending index order, so repeated calls with the
-// same operands produce bit-identical results per precision.
-type Float interface {
-	~float32 | ~float64
-}
-
-// DotG is the generic inner product with the same ascending accumulation
-// order as Dot. The float64 instantiation is bit-identical to Dot.
-func DotG[F Float](a, b []F) F {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s F
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// AxpyG performs dst += s*src with ascending index order, matching
-// AxpyInPlace bit-for-bit at float64.
-func AxpyG[F Float](dst, src []F, s F) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: axpy length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] += s * v
-	}
-}
-
-// MatVecG computes dst[r] = dot(w[r,:], x) for a row-major rows x cols
+// MatVec computes dst[r] = dot(w[r,:], x) for a row-major rows x cols
 // matrix w, where rows = len(dst) and cols = len(x). Rows are processed in
 // blocks of four so the four accumulators live in registers and the loads
 // of x are shared; each accumulator still sums in ascending k order, so the
 // result is bit-identical to calling Dot per row.
-func MatVecG[F Float](dst, w []F, cols int, x []F) {
+func MatVec(dst, w []float64, cols int, x []float64) {
 	rows := len(dst)
 	if len(x) != cols || len(w) != rows*cols {
 		panic(fmt.Sprintf("tensor: matvec shape mismatch w=%d dst=%d x=%d cols=%d", len(w), rows, len(x), cols))
@@ -52,7 +18,7 @@ func MatVecG[F Float](dst, w []F, cols int, x []F) {
 		r1 := w[(r+1)*cols : (r+2)*cols]
 		r2 := w[(r+2)*cols : (r+3)*cols]
 		r3 := w[(r+3)*cols : (r+4)*cols]
-		var a0, a1, a2, a3 F
+		var a0, a1, a2, a3 float64
 		for k, xv := range x {
 			a0 += r0[k] * xv
 			a1 += r1[k] * xv
@@ -66,7 +32,7 @@ func MatVecG[F Float](dst, w []F, cols int, x []F) {
 	}
 	for ; r < rows; r++ {
 		row := w[r*cols : (r+1)*cols]
-		var a F
+		var a float64
 		for k, xv := range x {
 			a += row[k] * xv
 		}
@@ -74,11 +40,10 @@ func MatVecG[F Float](dst, w []F, cols int, x []F) {
 	}
 }
 
-// MatVecBiasG computes dst[r] = dot(w[r,:], x) + bias[r], the Linear layer
-// forward map. The float64 instantiation is bit-identical to
-// Linear.Forward: each row's dot product accumulates in ascending k order
-// and the bias is added last.
-func MatVecBiasG[F Float](dst, w []F, cols int, x, bias []F) {
+// MatVecBias computes dst[r] = dot(w[r,:], x) + bias[r], the Linear layer
+// forward map, bit-identical to Linear.Forward: each row's dot product
+// accumulates in ascending k order and the bias is added last.
+func MatVecBias(dst, w []float64, cols int, x, bias []float64) {
 	rows := len(dst)
 	if len(x) != cols || len(w) != rows*cols || len(bias) != rows {
 		panic(fmt.Sprintf("tensor: matvec shape mismatch w=%d dst=%d x=%d bias=%d cols=%d", len(w), rows, len(x), len(bias), cols))
@@ -89,7 +54,7 @@ func MatVecBiasG[F Float](dst, w []F, cols int, x, bias []F) {
 		r1 := w[(r+1)*cols : (r+2)*cols]
 		r2 := w[(r+2)*cols : (r+3)*cols]
 		r3 := w[(r+3)*cols : (r+4)*cols]
-		var a0, a1, a2, a3 F
+		var a0, a1, a2, a3 float64
 		for k, xv := range x {
 			a0 += r0[k] * xv
 			a1 += r1[k] * xv
@@ -103,7 +68,7 @@ func MatVecBiasG[F Float](dst, w []F, cols int, x, bias []F) {
 	}
 	for ; r < rows; r++ {
 		row := w[r*cols : (r+1)*cols]
-		var a F
+		var a float64
 		for k, xv := range x {
 			a += row[k] * xv
 		}
@@ -111,12 +76,12 @@ func MatVecBiasG[F Float](dst, w []F, cols int, x, bias []F) {
 	}
 }
 
-// MatVecAccBiasG computes dst[r] = dst[r] + dot(u[r,:], h) + bias[r]. It is
+// MatVecAccBias computes dst[r] = dst[r] + dot(u[r,:], h) + bias[r]. It is
 // the second half of the GRU affine map pre = W x + U h + b: seeded with
-// dst[r] = dot(W[r,:], x) from MatVecG, the combined result evaluates as
+// dst[r] = dot(W[r,:], x) from MatVec, the combined result evaluates as
 // (dot(W,x) + dot(U,h)) + bias — the exact association GRUCell's affine
-// uses, so the float64 instantiation is bit-identical to it.
-func MatVecAccBiasG[F Float](dst, u []F, cols int, h, bias []F) {
+// uses, so it is bit-identical to it.
+func MatVecAccBias(dst, u []float64, cols int, h, bias []float64) {
 	rows := len(dst)
 	if len(h) != cols || len(u) != rows*cols || len(bias) != rows {
 		panic(fmt.Sprintf("tensor: matvec shape mismatch u=%d dst=%d h=%d bias=%d cols=%d", len(u), rows, len(h), len(bias), cols))
@@ -127,7 +92,7 @@ func MatVecAccBiasG[F Float](dst, u []F, cols int, h, bias []F) {
 		r1 := u[(r+1)*cols : (r+2)*cols]
 		r2 := u[(r+2)*cols : (r+3)*cols]
 		r3 := u[(r+3)*cols : (r+4)*cols]
-		var a0, a1, a2, a3 F
+		var a0, a1, a2, a3 float64
 		for k, hv := range h {
 			a0 += r0[k] * hv
 			a1 += r1[k] * hv
@@ -141,7 +106,7 @@ func MatVecAccBiasG[F Float](dst, u []F, cols int, h, bias []F) {
 	}
 	for ; r < rows; r++ {
 		row := u[r*cols : (r+1)*cols]
-		var a F
+		var a float64
 		for k, hv := range h {
 			a += row[k] * hv
 		}

@@ -5,7 +5,7 @@ import (
 )
 
 // The 4-row-unrolled kernels must match the scalar Dot reference
-// bit-for-bit at float64, across row counts that straddle the unroll width.
+// bit-for-bit, across row counts that straddle the unroll width.
 func TestMatVecKernelsMatchDotBitwise(t *testing.T) {
 	for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 31, 32, 33} {
 		for _, cols := range []int{1, 3, 17, 32} {
@@ -17,70 +17,29 @@ func TestMatVecKernelsMatchDotBitwise(t *testing.T) {
 			bias := rng.GlorotMatrix(1, rows).Row(0)
 
 			got := make([]float64, rows)
-			MatVecG(got, w.Data(), cols, x)
+			MatVec(got, w.Data(), cols, x)
 			for r := 0; r < rows; r++ {
 				if want := Dot(w.Row(r), x); got[r] != want {
-					t.Fatalf("MatVecG rows=%d cols=%d row %d: %v != %v", rows, cols, r, got[r], want)
+					t.Fatalf("MatVec rows=%d cols=%d row %d: %v != %v", rows, cols, r, got[r], want)
 				}
 			}
 
-			MatVecBiasG(got, w.Data(), cols, x, bias)
+			MatVecBias(got, w.Data(), cols, x, bias)
 			for r := 0; r < rows; r++ {
 				if want := Dot(w.Row(r), x) + bias[r]; got[r] != want {
-					t.Fatalf("MatVecBiasG rows=%d cols=%d row %d: %v != %v", rows, cols, r, got[r], want)
+					t.Fatalf("MatVecBias rows=%d cols=%d row %d: %v != %v", rows, cols, r, got[r], want)
 				}
 			}
 
 			// Seeded accumulate: dst = dot(w,x), then += dot(u,h) + bias must
 			// associate as (dot+dot)+bias, matching the GRU affine.
-			MatVecG(got, w.Data(), cols, x)
-			MatVecAccBiasG(got, u.Data(), cols, h, bias)
+			MatVec(got, w.Data(), cols, x)
+			MatVecAccBias(got, u.Data(), cols, h, bias)
 			for r := 0; r < rows; r++ {
 				if want := Dot(w.Row(r), x) + Dot(u.Row(r), h) + bias[r]; got[r] != want {
-					t.Fatalf("MatVecAccBiasG rows=%d cols=%d row %d: %v != %v", rows, cols, r, got[r], want)
+					t.Fatalf("MatVecAccBias rows=%d cols=%d row %d: %v != %v", rows, cols, r, got[r], want)
 				}
 			}
-		}
-	}
-}
-
-// The generic kernels must also work at float32 and agree with a scalar
-// float32 reference exactly (same precision, same order — no tolerance).
-func TestMatVecKernelsFloat32(t *testing.T) {
-	const rows, cols = 13, 9
-	rng := NewRNG(5)
-	w32 := make([]float32, rows*cols)
-	for i, v := range rng.GlorotMatrix(rows, cols).Data() {
-		w32[i] = float32(v)
-	}
-	x32 := make([]float32, cols)
-	for i, v := range rng.GlorotMatrix(1, cols).Row(0) {
-		x32[i] = float32(v)
-	}
-	bias32 := make([]float32, rows)
-	for i, v := range rng.GlorotMatrix(1, rows).Row(0) {
-		bias32[i] = float32(v)
-	}
-	got := make([]float32, rows)
-	MatVecBiasG(got, w32, cols, x32, bias32)
-	for r := 0; r < rows; r++ {
-		var want float32
-		for k := 0; k < cols; k++ {
-			want += w32[r*cols+k] * x32[k]
-		}
-		want += bias32[r]
-		if got[r] != want {
-			t.Fatalf("float32 row %d: %v != %v", r, got[r], want)
-		}
-	}
-	if s := DotG(x32, x32); s <= 0 {
-		t.Fatalf("DotG float32 self-product not positive: %v", s)
-	}
-	dst := make([]float32, cols)
-	AxpyG(dst, x32, 2)
-	for i := range dst {
-		if dst[i] != 2*x32[i] {
-			t.Fatalf("AxpyG element %d: %v != %v", i, dst[i], 2*x32[i])
 		}
 	}
 }
@@ -94,8 +53,8 @@ func TestMatVecKernelsAllocFree(t *testing.T) {
 	bias := rng.GlorotMatrix(1, rows).Row(0)
 	dst := make([]float64, rows)
 	allocs := testing.AllocsPerRun(100, func() {
-		MatVecBiasG(dst, w, cols, x, bias)
-		MatVecAccBiasG(dst, w, cols, x, bias)
+		MatVecBias(dst, w, cols, x, bias)
+		MatVecAccBias(dst, w, cols, x, bias)
 	})
 	if allocs != 0 {
 		t.Fatalf("kernels allocated %v times per run, want 0", allocs)
@@ -108,7 +67,7 @@ func TestMatVecKernelShapePanics(t *testing.T) {
 			t.Fatal("shape mismatch did not panic")
 		}
 	}()
-	MatVecG(make([]float64, 4), make([]float64, 4*3), 3, make([]float64, 5))
+	MatVec(make([]float64, 4), make([]float64, 4*3), 3, make([]float64, 5))
 }
 
 func BenchmarkMatVecBias32x32(b *testing.B) {
@@ -120,6 +79,6 @@ func BenchmarkMatVecBias32x32(b *testing.B) {
 	dst := make([]float64, rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatVecBiasG(dst, w, cols, x, bias)
+		MatVecBias(dst, w, cols, x, bias)
 	}
 }

@@ -318,19 +318,6 @@ func (p *Predictor) ConfidenceGraph(g *Graph) (closest string, similarity float6
 // and advanced composition).
 func (p *Predictor) Engine() *InferenceEngine { return p.engine }
 
-// UseFloat32Inference toggles the float32 embedding fast path (DESIGN.md
-// §10): roughly a 2.6x embed speedup over the pre-fast-path baseline with
-// half the weight-memory traffic, at the cost of bit-compatibility with
-// the float64 route. Predictions stay deterministic per precision.
-// Switching clears the embedding cache.
-func (p *Predictor) UseFloat32Inference(on bool) {
-	prec := ghn.Float64
-	if on {
-		prec = ghn.Float32
-	}
-	p.engine.SetInferencePrecision(prec)
-}
-
 // Dataset returns the dataset descriptor the predictor was trained for.
 func (p *Predictor) Dataset() Dataset { return p.dataset }
 
