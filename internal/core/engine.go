@@ -156,90 +156,120 @@ func (e *InferenceEngine) embedding(g *graph.Graph, key string) ([]float64, erro
 // input. Cache misses are deduplicated by fingerprint and computed
 // concurrently on a worker pool sized by GOMAXPROCS — embeddings are pure
 // functions of (weights, graph), so results are identical to the serial
-// loop.
+// loop. The first bad graph fails the call.
 func (e *InferenceEngine) EmbedAll(graphs []*graph.Graph) ([][]float64, error) {
-	out := make([][]float64, len(graphs))
+	out, errs := e.embedEach(graphs)
+	for i, err := range errs {
+		switch {
+		case err == nil:
+		case graphs[i] == nil:
+			return nil, fmt.Errorf("core: nil graph at index %d", i)
+		default:
+			return nil, fmt.Errorf("core: embedding %q: %w", graphs[i].Name, err)
+		}
+	}
+	return out, nil
+}
+
+// embedEach is EmbedAll with the failures attributed per item: errs is nil
+// when every graph embedded, otherwise errs[i] says why out[i] is nil (a
+// nil graph, or the GHN's own error, which every graph sharing that
+// fingerprint gets). Each graph is fingerprinted exactly once.
+func (e *InferenceEngine) embedEach(graphs []*graph.Graph) (out [][]float64, errs []error) {
+	out = make([][]float64, len(graphs))
+	fail := func(i int, err error) {
+		if errs == nil {
+			errs = make([]error, len(graphs))
+		}
+		errs[i] = err
+	}
+	// Hash before taking the lock: a fingerprint costs tens of µs and
+	// concurrent predictions wait on e.mu.
 	keys := make([]string, len(graphs))
+	for i, g := range graphs {
+		if g == nil {
+			fail(i, fmt.Errorf("core: nil graph"))
+			continue
+		}
+		keys[i] = g.Fingerprint()
+	}
 
 	// Partition into cache hits and distinct misses under one lock pass.
-	type missing struct {
+	type miss struct {
 		g   *graph.Graph
 		key string
+		emb []float64
+		err error
 	}
-	var misses []missing
-	seen := make(map[string]bool)
+	var misses []miss
+	missAt := make(map[string]int) // fingerprint → index into misses
 	var nHits, nMisses uint64
 	e.mu.Lock()
 	for i, g := range graphs {
 		if g == nil {
-			e.mu.Unlock()
-			return nil, fmt.Errorf("core: nil graph at index %d", i)
+			continue
 		}
-		keys[i] = g.Fingerprint()
 		if emb, ok := e.cache.get(keys[i]); ok {
 			out[i] = emb
 			nHits++
-		} else {
-			nMisses++
-			if !seen[keys[i]] {
-				seen[keys[i]] = true
-				misses = append(misses, missing{g: g, key: keys[i]})
-			}
+			continue
+		}
+		nMisses++
+		if _, dup := missAt[keys[i]]; !dup {
+			missAt[keys[i]] = len(misses)
+			misses = append(misses, miss{g: g, key: keys[i]})
 		}
 	}
 	hitCtr, missCtr := e.cacheHits, e.cacheMisses
 	e.mu.Unlock()
 	hitCtr.Add(nHits)
 	missCtr.Add(nMisses)
+	if len(misses) == 0 {
+		return out, errs
+	}
 
-	if len(misses) > 0 {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(misses) {
-			workers = len(misses)
-		}
-		embs := make([][]float64, len(misses))
-		errs := make([]error, len(misses))
-		var next int32
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt32(&next, 1)) - 1
-					if i >= len(misses) {
-						return
-					}
-					embs[i], errs[i] = e.ghn.EmbedKeyed(misses[i].g, misses[i].key, ghn.Float64)
+	workers := runtime.GOMAXPROCS(0)
+	if workers > len(misses) {
+		workers = len(misses)
+	}
+	var next int32
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(atomic.AddInt32(&next, 1)) - 1
+				if i >= len(misses) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("core: embedding %q: %w", misses[i].g.Name, err)
+				m := &misses[i]
+				m.emb, m.err = e.ghn.EmbedKeyed(m.g, m.key, ghn.Float64)
 			}
-		}
-		e.mu.Lock()
-		for i, m := range misses {
-			embs[i] = e.cache.put(m.key, embs[i])
-		}
-		e.mu.Unlock()
-
-		// Fill remaining slots from this call's own results, not the cache:
-		// with a bounded cache, a miss set larger than the cap evicts early
-		// insertions before this loop runs, and a cache read would yield nil.
-		local := make(map[string][]float64, len(misses))
-		for i, m := range misses {
-			local[m.key] = embs[i]
-		}
-		for i := range out {
-			if out[i] == nil {
-				out[i] = local[keys[i]]
-			}
+		}()
+	}
+	wg.Wait()
+	e.mu.Lock()
+	for i := range misses {
+		if m := &misses[i]; m.err == nil {
+			m.emb = e.cache.put(m.key, m.emb)
 		}
 	}
-	return out, nil
+	e.mu.Unlock()
+
+	// Fill the remaining slots from this call's own results, not the cache:
+	// with a bounded cache, a miss set larger than the cap evicts early
+	// insertions before this loop runs, and a cache read would yield nil.
+	for i, g := range graphs {
+		if g == nil || out[i] != nil {
+			continue
+		}
+		m := &misses[missAt[keys[i]]]
+		if out[i] = m.emb; m.err != nil {
+			fail(i, m.err)
+		}
+	}
+	return out, errs
 }
 
 // Features builds the regression input for the engine's model kind:
@@ -280,26 +310,29 @@ func (e *InferenceEngine) PredictTraced(g *graph.Graph, c cluster.Cluster, tr *o
 	if err := c.Validate(); err != nil {
 		return 0, fmt.Errorf("core: features: %w", err)
 	}
-	var feats []float64
 	if e.kind == regress.FeatureAnalytic {
 		// Analytic backends never touch the GHN: the feature row is a pure
 		// function of the graph's scalar stats and the cluster descriptor.
 		stop := tr.Stage("features")
-		f, err := simulator.AnalyticFeaturesFor(g, c)
+		feats, err := simulator.AnalyticFeaturesFor(g, c)
 		stop()
 		if err != nil {
 			return 0, fmt.Errorf("core: features: %w", err)
 		}
-		feats = f
-	} else {
-		stop := tr.Stage("embed")
-		emb, err := e.Embedding(g)
-		stop()
-		if err != nil {
-			return 0, err
-		}
-		feats = tensor.Concat(emb, c.Features())
+		return e.regress(g, feats, tr)
 	}
+	stop := tr.Stage("embed")
+	emb, err := e.Embedding(g)
+	stop()
+	if err != nil {
+		return 0, err
+	}
+	return e.regress(g, tensor.Concat(emb, c.Features()), tr)
+}
+
+// regress runs the fitted model on one feature row and applies the
+// positive floor.
+func (e *InferenceEngine) regress(g *graph.Graph, feats []float64, tr *obs.Trace) (float64, error) {
 	stop := tr.Stage("regress")
 	pred, err := e.model.Predict(feats)
 	stop()
@@ -320,34 +353,30 @@ type BatchPrediction struct {
 }
 
 // PredictBatch predicts every (graphs[i], clusters[i]) pair, embedding
-// distinct architectures concurrently via EmbedAll. Results are
-// index-aligned; a bad item records its error without failing the batch.
+// distinct architectures concurrently and hashing each graph once. Results
+// are index-aligned and bit-identical to Predict; a bad item (nil or cyclic
+// graph, invalid cluster) records its error without failing the batch.
 func (e *InferenceEngine) PredictBatch(graphs []*graph.Graph, clusters []cluster.Cluster) ([]BatchPrediction, error) {
 	if len(graphs) != len(clusters) {
 		return nil, fmt.Errorf("core: batch has %d graphs but %d clusters", len(graphs), len(clusters))
 	}
 	out := make([]BatchPrediction, len(graphs))
-	// Warm the cache for every distinct architecture in one parallel pass;
-	// per-item errors (nil or cyclic graphs) fall through to the serial
-	// loop so they are reported per item. Analytic backends skip the warm-up:
-	// their predict path never embeds.
-	if e.kind == regress.FeatureEmbedding {
-		valid := make([]*graph.Graph, 0, len(graphs))
-		for _, g := range graphs {
-			if g != nil {
-				valid = append(valid, g)
-			}
+	if e.kind == regress.FeatureAnalytic {
+		// Analytic backends never embed; there is nothing to batch.
+		for i := range graphs {
+			out[i].Seconds, out[i].Err = e.Predict(graphs[i], clusters[i])
 		}
-		// An embed failure (e.g. a cyclic graph) is re-discovered serially
-		// below and attributed to its item.
-		_, _ = e.EmbedAll(valid)
+		return out, nil
 	}
-	for i := range graphs {
-		if graphs[i] == nil {
-			out[i].Err = fmt.Errorf("core: nil graph")
-			continue
+	embs, errs := e.embedEach(graphs)
+	for i, g := range graphs {
+		if errs != nil && errs[i] != nil {
+			out[i].Err = errs[i]
+		} else if err := clusters[i].Validate(); err != nil {
+			out[i].Err = fmt.Errorf("core: features: %w", err)
+		} else {
+			out[i].Seconds, out[i].Err = e.regress(g, tensor.Concat(embs[i], clusters[i].Features()), nil)
 		}
-		out[i].Seconds, out[i].Err = e.Predict(graphs[i], clusters[i])
 	}
 	return out, nil
 }

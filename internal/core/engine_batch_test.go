@@ -1,12 +1,17 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"predictddl/internal/cluster"
+	"predictddl/internal/dataset"
 	"predictddl/internal/ghn"
 	"predictddl/internal/graph"
+	"predictddl/internal/obs"
 	"predictddl/internal/regress"
+	"predictddl/internal/simulator"
 	"predictddl/internal/tensor"
 )
 
@@ -147,6 +152,102 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 	if _, err := e.PredictBatch(graphs, clusters[:1]); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+}
+
+// cyclicGraph is a two-node loop: it fingerprints fine and fails in the GHN.
+func cyclicGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g := graph.New("loop")
+	a := g.AddNode(&graph.Node{Op: graph.OpConv, OutChannels: 4, OutH: 2, OutW: 2})
+	b := g.AddNode(&graph.Node{Op: graph.OpReLU, OutChannels: 4, OutH: 2, OutW: 2})
+	for _, e := range [][2]int{{a, b}, {b, a}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// PredictBatch prices items from EmbedAll's rows, so every failure mode has
+// to stay on its own item — a cyclic graph (twice: the duplicate shares the
+// failed embed), a nil graph, an invalid cluster — while the good items
+// still equal Predict to the bit, and each item is looked up, hence
+// fingerprinted, once: the batch used to do every lookup twice.
+func TestPredictBatchAttributesErrorsPerItem(t *testing.T) {
+	e := cheapEngine(t)
+	reg := obs.NewRegistry(nil)
+	e.Instrument(reg)
+	cfg := graph.DefaultConfig()
+	spec := cluster.SpecGPUP100()
+	loop := cyclicGraph(t)
+	graphs := []*graph.Graph{
+		graph.MustBuild("resnet18", cfg), loop, nil,
+		graph.MustBuild("vgg11", cfg), loop, graph.MustBuild("resnet18", cfg),
+	}
+	clusters := make([]cluster.Cluster, len(graphs))
+	for i := range clusters {
+		clusters[i] = cluster.Homogeneous(i+1, spec)
+	}
+	clusters[3] = cluster.Cluster{} // invalid: no servers
+	res, err := e.PredictBatch(graphs, clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{1, 2, 3, 4} {
+		if res[i].Err == nil {
+			t.Errorf("item %d: bad item priced at %v", i, res[i].Seconds)
+		}
+	}
+	if !errors.Is(res[1].Err, graph.ErrCyclic) || !errors.Is(res[4].Err, graph.ErrCyclic) {
+		t.Errorf("cyclic items report %v / %v, want graph.ErrCyclic", res[1].Err, res[4].Err)
+	}
+	if hits, misses := reg.Counter("embed.cache.hits").Value(), reg.Counter("embed.cache.misses").Value(); hits != 0 || misses != 5 {
+		t.Errorf("cold batch of 5 non-nil items counted %d hits, %d misses; want 0 and 5 (one lookup per item)", hits, misses)
+	}
+	for _, i := range []int{0, 5} {
+		want, err := e.Predict(graphs[i], clusters[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[i].Err != nil || math.Float64bits(res[i].Seconds) != math.Float64bits(want) {
+			t.Errorf("item %d: batch (%v, %v), serial %v", i, res[i].Seconds, res[i].Err, want)
+		}
+	}
+	if _, err := e.EmbedAll(graphs[:2]); !errors.Is(err, graph.ErrCyclic) {
+		t.Errorf("EmbedAll over a cyclic graph returned %v", err)
+	}
+}
+
+// The offline trainer embeds the campaign through the engine's own EmbedAll,
+// so the engine it returns already holds those embeddings: pricing a
+// campaign architecture runs no GHN embed.
+func TestTrainEngineWarmsEmbeddingCache(t *testing.T) {
+	d := dataset.CIFAR10()
+	models := []string{"resnet18", "vgg11", "squeezenet1_1"}
+	res, err := TrainEngine(TrainOptions{
+		Dataset: d,
+		GHN:     ghn.New(ghn.Config{HiddenDim: 8}, tensor.NewRNG(1)),
+		Campaign: simulator.CampaignSpec{
+			Models: models, ServerSpec: cluster.SpecGPUP100(), ServerCounts: simulator.CountRange(1, 4),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := res.Engine
+	if got := e.EmbeddingCacheLen(); got != len(models) {
+		t.Fatalf("engine starts with %d cached embeddings, want the %d campaign architectures", got, len(models))
+	}
+	reg := obs.NewRegistry(nil)
+	e.Instrument(reg)
+	for _, m := range models {
+		if _, err := e.Predict(graph.MustBuild(m, d.GraphConfig()), cluster.Homogeneous(2, cluster.SpecGPUP100())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := reg.Counter("embed.cache.hits").Value(), reg.Counter("embed.cache.misses").Value(); hits != uint64(len(models)) || misses != 0 {
+		t.Fatalf("pricing the campaign architectures: %d hits, %d misses; want %d and 0", hits, misses, len(models))
 	}
 }
 

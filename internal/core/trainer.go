@@ -22,25 +22,38 @@ func DesignMatrix(g *ghn.GHN, points []simulator.DataPoint, gcfg graph.Config) (
 }
 
 // DesignMatrixWithEmbeddings is DesignMatrix, additionally returning the
-// per-architecture embeddings so callers (the offline trainer) can seed the
-// engine's reference set without recomputing them.
+// per-architecture embeddings (read-only) so callers can seed an engine's
+// reference set without recomputing them. It runs the same embedding loop
+// TrainEngine does — an engine's EmbedAll — on a throwaway engine around g.
 func DesignMatrixWithEmbeddings(g *ghn.GHN, points []simulator.DataPoint, gcfg graph.Config) (*tensor.Matrix, []float64, map[string][]float64, error) {
+	return NewInferenceEngine("", g, nil).designMatrix(points, gcfg)
+}
+
+// designMatrix builds the campaign's distinct architectures at gcfg, embeds
+// them through e.EmbedAll — in parallel, and into e's embedding cache, so an
+// engine that goes on to serve starts with its training architectures warm —
+// and assembles the regression dataset.
+func (e *InferenceEngine) designMatrix(points []simulator.DataPoint, gcfg graph.Config) (*tensor.Matrix, []float64, map[string][]float64, error) {
 	if len(points) == 0 {
 		return nil, nil, nil, fmt.Errorf("core: no campaign points")
 	}
-	embeddings := make(map[string][]float64)
-	for _, m := range simulator.Models(points) {
-		gr, err := graph.Build(m, gcfg)
-		if err != nil {
+	models := simulator.Models(points)
+	graphs := make([]*graph.Graph, len(models))
+	for i, m := range models {
+		var err error
+		if graphs[i], err = graph.Build(m, gcfg); err != nil {
 			return nil, nil, nil, fmt.Errorf("core: design matrix: %w", err)
 		}
-		emb, err := g.Embed(gr)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: embedding %q: %w", m, err)
-		}
-		embeddings[m] = emb
 	}
-	cols := g.EmbeddingDim() + len(points[0].ClusterFeatures)
+	rows, err := e.EmbedAll(graphs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	embeddings := make(map[string][]float64, len(models))
+	for i, m := range models {
+		embeddings[m] = rows[i]
+	}
+	cols := e.ghn.EmbeddingDim() + len(points[0].ClusterFeatures)
 	x := tensor.NewMatrix(len(points), cols)
 	y := make([]float64, len(points))
 	for i, p := range points {
@@ -78,7 +91,12 @@ func AnalyticDesignMatrix(points []simulator.DataPoint) (*tensor.Matrix, []float
 type TrainOptions struct {
 	// Dataset selects the dataset type; the GHN registry is keyed by it.
 	Dataset dataset.Dataset
-	// GHNConfig shapes the hypernetwork (defaults: GHN-2 with d=32).
+	// GHNConfig shapes the hypernetwork. The zero value is d = 32 with
+	// VirtualEdges and Normalize off — GHN-1 message passing (Eq. 3)
+	// without operation-dependent normalization, not the paper's GHN-2;
+	// pass ghn.DefaultConfig() for GHN-2. Every caller that leaves this
+	// zero (predictddl.Train, the experiments lab, the benchmark) therefore
+	// trains the GHN-1 variant; see ROADMAP item 3.
 	GHNConfig ghn.Config
 	// GHNTraining controls the proxy-objective training run.
 	GHNTraining ghn.TrainConfig
@@ -162,10 +180,13 @@ func TrainEngine(opts TrainOptions) (*TrainResult, error) {
 		model = regress.NewLogTarget(regress.NewLinearRegression())
 	}
 	start = time.Now()
-	// Embeddings are computed for every model kind: analytic backends skip
-	// them at fit and predict time, but the Confidence reference set still
-	// lives in embedding space.
-	x, y, embeddings, err := DesignMatrixWithEmbeddings(g, points, opts.Dataset.GraphConfig())
+	// The engine exists before its model is fitted so the campaign
+	// architectures are embedded through its own EmbedAll and land in its
+	// cache. Embeddings are computed for every model kind: analytic backends
+	// skip them at fit and predict time, but the Confidence reference set
+	// still lives in embedding space.
+	engine := NewInferenceEngine(opts.Dataset.Name, g, model)
+	x, y, embeddings, err := engine.designMatrix(points, opts.Dataset.GraphConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +200,7 @@ func TrainEngine(opts TrainOptions) (*TrainResult, error) {
 	}
 	res.EmbedFitTime = time.Since(start)
 
-	res.Engine = NewInferenceEngine(opts.Dataset.Name, g, model)
-	res.Engine.SetReference(embeddings)
+	engine.SetReference(embeddings)
+	res.Engine = engine
 	return res, nil
 }

@@ -10,11 +10,13 @@ import "predictddl/internal/tensor"
 func (g *GHN) backward(st *forwardState, gradNodes [][]float64, gradReadout []float64) {
 	n := len(st.h)
 	d := g.cfg.HiddenDim
+	a := st.arena
 
 	// gbuf[v] holds dL/d(current version of h_v) as we unwind the tape.
-	gbuf := make([][]float64, n)
+	st.gbuf = rows(st.gbuf, n)
+	gbuf := st.gbuf
 	for v := range gbuf {
-		gbuf[v] = make([]float64, d)
+		gbuf[v] = a.Floats(d)
 		if gradNodes != nil && gradNodes[v] != nil {
 			copy(gbuf[v], gradNodes[v])
 		}
@@ -24,22 +26,21 @@ func (g *GHN) backward(st *forwardState, gradNodes [][]float64, gradReadout []fl
 		for v := range gbuf {
 			tensor.AxpyInPlace(gbuf[v], gradReadout[:d], inv)
 		}
-		in, out := terminalNodes(st.gr)
-		tensor.AxpyInPlace(gbuf[in], gradReadout[d:2*d], 1)
-		tensor.AxpyInPlace(gbuf[out], gradReadout[2*d:], 1)
+		tensor.AxpyInPlace(gbuf[st.tg.tp.termIn], gradReadout[d:2*d], 1)
+		tensor.AxpyInPlace(gbuf[st.tg.tp.termOut], gradReadout[2*d:], 1)
 	}
 
 	for i := len(st.tape) - 1; i >= 0; i-- {
-		up := st.tape[i]
+		up := &st.tape[i]
 		gh := gbuf[up.v]
 		if allZero(gh) {
 			continue
 		}
-		gm, ghOld := g.gru.Backward(up.gruCache, gh)
+		gm, ghOld := g.gru.Backward(a, up.gruCache, gh)
 		gbuf[up.v] = ghOld
 
 		// Through the operation-dependent gain: m = gain ⊙ raw.
-		graw := make([]float64, d)
+		graw := a.Floats(d)
 		gain := g.gainRow(up.op)
 		for j := range graw {
 			graw[j] = gain[j] * gm[j]
@@ -55,13 +56,18 @@ func (g *GHN) backward(st *forwardState, gradNodes [][]float64, gradReadout []fl
 		for j := range graw {
 			graw[j] *= up.inv
 		}
+		caches := st.caches[up.caches:]
 		for k, u := range up.nbrs {
-			gu := up.dirMsg.Backward(up.msgCaches[k], graw)
+			gu := up.dirMsg.Backward(a, caches[k], graw)
 			tensor.AxpyInPlace(gbuf[u], gu, 1)
 		}
+		caches = caches[len(up.nbrs):]
 		for k, e := range up.spNbrs {
-			scaled := tensor.ScaleVec(graw, 1/e.s)
-			gu := up.dirSp.Backward(up.spCaches[k], scaled)
+			scaled, w := a.Floats(d), 1/e.s
+			for j, x := range graw {
+				scaled[j] = w * x
+			}
+			gu := up.dirSp.Backward(a, caches[k], scaled)
 			tensor.AxpyInPlace(gbuf[e.u], gu, 1)
 		}
 	}
@@ -71,7 +77,7 @@ func (g *GHN) backward(st *forwardState, gradNodes [][]float64, gradReadout []fl
 		if allZero(gbuf[v]) {
 			continue
 		}
-		g.embed.Backward(st.embedIn[v], gbuf[v])
+		g.embed.Backward(a, st.tg.features[v], gbuf[v])
 	}
 }
 

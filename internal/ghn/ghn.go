@@ -209,111 +209,138 @@ func (g *GHN) virtualNeighbors(gr *graph.Graph, reverse bool) [][]spEdge {
 	return out
 }
 
-// forwardState carries one full traversal's intermediate values for
-// backpropagation.
-type forwardState struct {
+// tapeGraph is one graph prepared for the tape path: everything forward,
+// backward and the proxy loss read that does not depend on the weights.
+// Train builds one per sampled architecture, once, instead of re-deriving
+// the traversal order, the virtual-edge BFS tables, the one-hot feature
+// rows and the targets on every step of every epoch.
+type tapeGraph struct {
 	gr       *graph.Graph
-	features [][]float64 // node input features
-	h        [][]float64 // final node states
-	tape     []*nodeUpdate
-	embedIn  [][]float64 // inputs to the embedding layer (== features)
+	tp       *topoInfo
+	features [][]float64 // H₀ rows, the embedding layer's inputs
+	// Proxy supervision (train.go); nil when built by newTapeGraph alone.
+	nodeT  [][]float64
+	graphT []float64
+}
+
+// newTapeGraph computes gr's traversal structure and node features. It
+// bypasses the fingerprint-keyed topology cache: training graphs are held
+// by Train for its whole run and would only evict serving entries.
+func (g *GHN) newTapeGraph(gr *graph.Graph) (*tapeGraph, error) {
+	tp, err := g.buildTopology(gr)
+	if err != nil {
+		return nil, err
+	}
+	tg := &tapeGraph{gr: gr, tp: tp, features: make([][]float64, gr.NumNodes())}
+	for i, node := range gr.Nodes {
+		tg.features[i] = nodeFeatures(node)
+	}
+	return tg, nil
+}
+
+// forwardState carries one full traversal's intermediate values for
+// backpropagation. A training worker reuses one forwardState for every
+// step: forward truncates the tables below and refills them, and every
+// float vector they point to comes from arena, which gradStep resets. With
+// a zero forwardState (nil arena) everything lives on the heap.
+//
+// Arena ownership rule: nothing reachable from a forwardState outlives the
+// step. gradStep leaves the step's only products — the loss and the
+// parameter gradients — outside it.
+type forwardState struct {
+	arena  *nn.Arena
+	tg     *tapeGraph
+	h      [][]float64   // current node states
+	tape   []nodeUpdate  // one entry per GRU update, in execution order
+	caches []nn.MLPCache // message-MLP caches, in execution order
+	// backward's and gradStep's per-node gradient tables, kept for reuse.
+	gbuf, gradNodes [][]float64
+}
+
+// rows returns buf resized to n stale entries, reallocating only to grow.
+func rows(buf [][]float64, n int) [][]float64 {
+	if cap(buf) < n {
+		return make([][]float64, n)
+	}
+	return buf[:n]
 }
 
 // nodeUpdate records one GRU state update for the backward pass.
 type nodeUpdate struct {
-	v         int
-	op        graph.OpType
-	dirMsg    *nn.MLP // message MLP used (fw or bw)
-	dirSp     *nn.MLP
-	nbrs      []int
-	msgCaches []*nn.MLPCache
-	spNbrs    []spEdge
-	spCaches  []*nn.MLPCache
-	inv       float64   // mean-aggregation factor
-	raw       []float64 // aggregated message before gain
-	gruCache  *nn.GRUCache
+	v      int
+	op     graph.OpType
+	dirMsg *nn.MLP // message MLP used (fw or bw)
+	dirSp  *nn.MLP
+	nbrs   []int    // direct message sources, owned by the graph
+	spNbrs []spEdge // virtual-edge sources, owned by the topoInfo
+	// caches is the first of this update's len(nbrs)+len(spNbrs) entries
+	// in forwardState.caches: direct neighbors, then virtual ones.
+	caches   int
+	inv      float64   // mean-aggregation factor
+	raw      []float64 // aggregated message before gain
+	gruCache nn.GRUCache
 }
 
-// forward runs the GatedGNN over gr, returning the tape needed by backward.
-func (g *GHN) forward(gr *graph.Graph) (*forwardState, error) {
-	order, err := gr.TopoOrder()
-	if err != nil {
-		return nil, fmt.Errorf("ghn: %w", err)
+// forward runs the GatedGNN over tg, leaving the tape backward needs in st.
+func (g *GHN) forward(st *forwardState, tg *tapeGraph) {
+	st.tg = tg
+	st.h = rows(st.h, len(tg.features))
+	st.tape, st.caches = st.tape[:0], st.caches[:0]
+	for i, f := range tg.features {
+		st.h[i] = g.embed.Forward(st.arena, f)
 	}
-	n := gr.NumNodes()
-	st := &forwardState{gr: gr}
-	st.features = make([][]float64, n)
-	st.h = make([][]float64, n)
-	for i, node := range gr.Nodes {
-		st.features[i] = nodeFeatures(node)
-		st.h[i] = g.embed.Forward(st.features[i])
-	}
-	st.embedIn = st.features
-
-	spFw := g.virtualNeighbors(gr, false)
-	spBw := g.virtualNeighbors(gr, true)
-
-	revOrder := make([]int, n)
-	for i, v := range order {
-		revOrder[n-1-i] = v
-	}
-
 	for t := 0; t < g.cfg.Passes; t++ {
-		g.sweep(st, order, false, spFw)
+		g.sweep(st, tg.tp.order, false, tg.tp.spFw)
 		if !g.cfg.ForwardOnly {
-			g.sweep(st, revOrder, true, spBw)
+			g.sweep(st, tg.tp.rev, true, tg.tp.spBw)
 		}
 	}
-	return st, nil
 }
 
 // sweep performs one directed traversal, updating node states in place and
 // appending tape entries.
 func (g *GHN) sweep(st *forwardState, order []int, reverse bool, sp [][]spEdge) {
 	d := g.cfg.HiddenDim
+	a, gr := st.arena, st.tg.gr
 	msg, msgSp := g.msgFw, g.msgSpFw
 	if reverse {
 		msg, msgSp = g.msgBw, g.msgSpBw
 	}
 	for _, v := range order {
-		var nbrs []int
+		nbrs := gr.InNeighbors(v)
 		if reverse {
-			nbrs = st.gr.OutNeighbors(v)
-		} else {
-			nbrs = st.gr.InNeighbors(v)
+			nbrs = gr.OutNeighbors(v)
 		}
-		up := &nodeUpdate{v: v, op: st.gr.Nodes[v].Op, dirMsg: msg, dirSp: msgSp}
-		raw := make([]float64, d)
-		for _, u := range nbrs {
-			out, cache := msg.Forward(st.h[u])
-			tensor.AxpyInPlace(raw, out, 1)
-			up.nbrs = append(up.nbrs, u)
-			up.msgCaches = append(up.msgCaches, cache)
-		}
-		for _, e := range sp[v] {
-			out, cache := msgSp.Forward(st.h[e.u])
-			tensor.AxpyInPlace(raw, out, 1/e.s)
-			up.spNbrs = append(up.spNbrs, e)
-			up.spCaches = append(up.spCaches, cache)
-		}
-		count := len(up.nbrs) + len(up.spNbrs)
+		count := len(nbrs) + len(sp[v])
 		if count == 0 {
 			continue // sources in this direction receive no message
 		}
-		up.inv = 1 / float64(count)
+		up := nodeUpdate{
+			v: v, op: gr.Nodes[v].Op, dirMsg: msg, dirSp: msgSp,
+			nbrs: nbrs, spNbrs: sp[v], caches: len(st.caches),
+			inv: 1 / float64(count), raw: a.Floats(d),
+		}
+		raw := up.raw
+		for _, u := range nbrs {
+			out, cache := msg.Forward(a, st.h[u])
+			tensor.AxpyInPlace(raw, out, 1)
+			st.caches = append(st.caches, cache)
+		}
+		for _, e := range sp[v] {
+			out, cache := msgSp.Forward(a, st.h[e.u])
+			tensor.AxpyInPlace(raw, out, 1/e.s)
+			st.caches = append(st.caches, cache)
+		}
 		for i := range raw {
 			raw[i] *= up.inv
 		}
-		up.raw = raw
 		// Operation-dependent normalization: per-op learned gain.
-		m := make([]float64, d)
+		m := a.Floats(d)
 		gain := g.gainRow(up.op)
 		for i := range m {
 			m[i] = gain[i] * raw[i]
 		}
-		hNew, cache := g.gru.Forward(m, st.h[v])
-		up.gruCache = cache
-		st.h[v] = hNew
+		st.h[v], up.gruCache = g.gru.Forward(a, m, st.h[v])
 		st.tape = append(st.tape, up)
 	}
 }
@@ -351,18 +378,31 @@ func (g *GHN) Embed(gr *graph.Graph) ([]float64, error) {
 // baseline the embed benchmarks compare to; serving callers should use
 // Embed.
 func (g *GHN) EmbedReference(gr *graph.Graph) ([]float64, error) {
-	st, err := g.forward(gr)
+	tg, err := g.newTapeGraph(gr)
 	if err != nil {
 		return nil, err
 	}
-	return g.proj.Forward(g.readout(st)), nil
+	var st forwardState
+	g.forward(&st, tg)
+	return g.proj.Forward(nil, g.readout(&st)), nil
 }
 
 // readout assembles the pre-projection summary from a completed forward
 // pass: [meanPool ‖ h_input ‖ h_output], length 3d.
 func (g *GHN) readout(st *forwardState) []float64 {
-	in, out := terminalNodes(st.gr)
-	return tensor.Concat(meanPool(st.h), st.h[in], st.h[out])
+	d := g.cfg.HiddenDim
+	out := st.arena.Floats(3 * d)
+	mp := out[:d]
+	for _, row := range st.h {
+		tensor.AxpyInPlace(mp, row, 1)
+	}
+	inv := 1 / float64(len(st.h))
+	for i := range mp {
+		mp[i] *= inv
+	}
+	copy(out[d:2*d], st.h[st.tg.tp.termIn])
+	copy(out[2*d:], st.h[st.tg.tp.termOut])
+	return out
 }
 
 // terminalNodes locates the input and output nodes (falling back to the
@@ -378,18 +418,6 @@ func terminalNodes(gr *graph.Graph) (in, out int) {
 		}
 	}
 	return in, out
-}
-
-func meanPool(h [][]float64) []float64 {
-	out := make([]float64, len(h[0]))
-	for _, row := range h {
-		tensor.AxpyInPlace(out, row, 1)
-	}
-	inv := 1 / float64(len(h))
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
 }
 
 // EmbedAll embeds several graphs, returning one row per graph.

@@ -117,29 +117,32 @@ func TestGHNGradCheck(t *testing.T) {
 		return l
 	}
 
-	// Analytic gradients via the same path trainStep uses (but no update).
+	// Analytic gradients via the same path gradStep uses (but no update),
+	// on the heap: a zero forwardState has no arena.
 	nn.ZeroGrads(params)
-	st, err := g.forward(gr)
+	tg, err := g.newTapeGraph(gr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := &forwardState{}
+	g.forward(st, tg)
 	n := len(st.h)
 	gradNodes := make([][]float64, n)
 	w := 1 / float64(n)
 	for v, node := range gr.Nodes {
-		o, cache := g.decoder.Forward(st.h[v])
-		_, grad := nn.HuberLoss(o, nodeTargets(node), 1)
+		o, cache := g.decoder.Forward(nil, st.h[v])
+		_, grad := nn.HuberLoss(nil, o, nodeTargets(node), 1)
 		for i := range grad {
 			grad[i] *= w
 		}
-		gradNodes[v] = g.decoder.Backward(cache, grad)
+		gradNodes[v] = g.decoder.Backward(nil, cache, grad)
 	}
 	readout := g.readout(st)
-	emb := g.proj.Forward(readout)
-	o, cache := g.graphHead.Forward(emb)
-	_, grad := nn.HuberLoss(o, graphTargets(gr), 1)
-	gradEmb := g.graphHead.Backward(cache, grad)
-	g.backward(st, gradNodes, g.proj.Backward(readout, gradEmb))
+	emb := g.proj.Forward(nil, readout)
+	o, cache := g.graphHead.Forward(nil, emb)
+	_, grad := nn.HuberLoss(nil, o, graphTargets(gr), 1)
+	gradEmb := g.graphHead.Backward(nil, cache, grad)
+	g.backward(st, gradNodes, g.proj.Backward(nil, readout, gradEmb))
 
 	const h = 1e-5
 	checked := 0

@@ -1,18 +1,17 @@
 // Inference fast path: a tape-free re-implementation of the GatedGNN
 // forward traversal for serving. The tape path (forward/sweep in ghn.go)
-// allocates a backprop tape — per-node MLPCaches, GRUCaches, message
-// vectors — and recomputes each graph's traversal structure on every call;
-// only Train needs any of that. This path writes into pooled scratch
-// arenas, reads the traversal structure from the fingerprint-keyed
+// records a backprop tape — per-edge MLPCaches, per-update GRUCaches,
+// message vectors — that only Train needs. This path writes into pooled
+// scratch arenas, reads the traversal structure from the fingerprint-keyed
 // topology cache (topo.go), and fuses the N one-hot embedding Forward
 // calls into a strided gather, so steady-state Embed allocates nothing but
 // the result slice.
 //
-// It reads the live parameters and is bit-identical to the tape path (the
-// floatorder determinism contract), which EmbedReference keeps as the test
-// oracle. Scratch-arena ownership rule: no pooled buffer escapes Embed —
-// results are copied into fresh slices before the arena returns to the
-// pool.
+// It reads the live parameters, runs the same nn/tensor kernels as the
+// tape path and is bit-identical to it (the floatorder determinism
+// contract), which EmbedReference keeps as the test oracle. Scratch-arena
+// ownership rule: no pooled buffer escapes Embed — results are copied into
+// fresh slices before the arena returns to the pool.
 package ghn
 
 import (

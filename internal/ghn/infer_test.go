@@ -139,6 +139,27 @@ func TestEmbedAllocRegression(t *testing.T) {
 	}
 }
 
+// A warmed training worker's gradStep — arena reset, forward, loss,
+// backward over one graph — must not allocate: every vector comes from the
+// step arena and every tape table is reused. The parent commit allocated
+// about 7,800 times per step at this scale.
+func TestGradStepAllocRegression(t *testing.T) {
+	w, tgs := benchWorker(t, 4)
+	for i := 0; i < 3; i++ { // the arena settles at the largest graph within a few passes
+		for _, tg := range tgs {
+			w.gradStep(tg)
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		w.gradStep(tgs[next%len(tgs)])
+		next++
+	})
+	if allocs > 0 {
+		t.Fatalf("warmed gradStep allocates %v per run, want 0", allocs)
+	}
+}
+
 // EmbedAll's steady-state allocations must stay linear in the output size
 // (the result matrix and per-row slices), not in graph size.
 func TestEmbedAllAllocRegression(t *testing.T) {

@@ -15,10 +15,9 @@ const topoCacheCap = 128
 // topoInfo is everything about a graph's shape the GatedGNN traversal
 // needs and that is independent of the network weights: the topological
 // order and its reverse, the virtual shortest-path neighbor lists per
-// direction (Eq. 4), and the terminal nodes for the readout. The tape path
-// recomputes all of this — including an O(n²) BFS sweep for the virtual
-// edges — on every Embed; the fast path computes it once per distinct
-// graph content.
+// direction (Eq. 4), and the terminal nodes for the readout. The fast path
+// computes it once per distinct graph content (topology); the tape path
+// once per tapeGraph, which Train keeps for its whole run.
 type topoInfo struct {
 	order   []int
 	rev     []int
@@ -37,28 +36,18 @@ type topoInfo struct {
 // depends on.
 func (g *GHN) topology(gr *graph.Graph, key string) (*topoInfo, error) {
 	g.topoMu.Lock()
-	tp, ok := g.topo[key]
+	cached, ok := g.topo[key]
 	g.topoMu.Unlock()
 	if ok {
-		return tp, nil
+		return cached, nil
 	}
 
 	// Compute outside the lock: concurrent misses on the same graph do
 	// duplicate work, but never block each other behind an O(n²) BFS.
-	order, err := gr.TopoOrder()
+	tp, err := g.buildTopology(gr)
 	if err != nil {
-		return nil, fmt.Errorf("ghn: %w", err)
+		return nil, err
 	}
-	n := gr.NumNodes()
-	rev := make([]int, n)
-	for i, v := range order {
-		rev[n-1-i] = v
-	}
-	tp = &topoInfo{order: order, rev: rev, spFw: g.virtualNeighbors(gr, false)}
-	if !g.cfg.ForwardOnly {
-		tp.spBw = g.virtualNeighbors(gr, true)
-	}
-	tp.termIn, tp.termOut = terminalNodes(gr)
 
 	g.topoMu.Lock()
 	defer g.topoMu.Unlock()
@@ -71,6 +60,25 @@ func (g *GHN) topology(gr *graph.Graph, key string) (*topoInfo, error) {
 		delete(g.topo, g.topoFIFO[0])
 		g.topoFIFO = g.topoFIFO[1:]
 	}
+	return tp, nil
+}
+
+// buildTopology computes gr's traversal structure, uncached.
+func (g *GHN) buildTopology(gr *graph.Graph) (*topoInfo, error) {
+	order, err := gr.TopoOrder()
+	if err != nil {
+		return nil, fmt.Errorf("ghn: %w", err)
+	}
+	n := gr.NumNodes()
+	rev := make([]int, n)
+	for i, v := range order {
+		rev[n-1-i] = v
+	}
+	tp := &topoInfo{order: order, rev: rev, spFw: g.virtualNeighbors(gr, false)}
+	if !g.cfg.ForwardOnly {
+		tp.spBw = g.virtualNeighbors(gr, true)
+	}
+	tp.termIn, tp.termOut = terminalNodes(gr)
 	return tp, nil
 }
 

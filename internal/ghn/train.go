@@ -52,6 +52,20 @@ func graphTargets(g *graph.Graph) []float64 {
 	}
 }
 
+// newTrainGraph is newTapeGraph plus the proxy supervision.
+func (g *GHN) newTrainGraph(gr *graph.Graph) (*tapeGraph, error) {
+	tg, err := g.newTapeGraph(gr)
+	if err != nil {
+		return nil, err
+	}
+	tg.nodeT = make([][]float64, gr.NumNodes())
+	for i, node := range gr.Nodes {
+		tg.nodeT[i] = nodeTargets(node)
+	}
+	tg.graphT = graphTargets(gr)
+	return tg, nil
+}
+
 // TrainConfig controls proxy training.
 type TrainConfig struct {
 	// Graphs is the number of random DARTS-style architectures to sample
@@ -133,13 +147,16 @@ func Train(cfg Config, tc TrainConfig) (*GHN, TrainReport, error) {
 	g := New(cfg, rng)
 	g.SetMetrics(tc.Metrics)
 
-	graphs := make([]*graph.Graph, tc.Graphs)
+	graphs := make([]*tapeGraph, tc.Graphs)
 	for i := range graphs {
 		cfg := tc.GraphConfig
 		if len(tc.GraphConfigs) > 0 {
 			cfg = tc.GraphConfigs[i%len(tc.GraphConfigs)]
 		}
-		graphs[i] = graph.RandomGraph(rng, cfg)
+		var err error
+		if graphs[i], err = g.newTrainGraph(graph.RandomGraph(rng, cfg)); err != nil {
+			return nil, TrainReport{}, err
+		}
 	}
 	report := TrainReport{Graphs: tc.Graphs, Epochs: tc.Epochs}
 
@@ -150,10 +167,9 @@ func Train(cfg Config, tc TrainConfig) (*GHN, TrainReport, error) {
 	if workers > tc.BatchSize {
 		workers = tc.BatchSize
 	}
-	var pool *trainPool
-	if workers > 1 {
-		pool = newTrainPool(g, workers)
-	}
+	// pool, its replicas and every step arena are dropped when Train
+	// returns: the trained GHN keeps none of the training-time memory.
+	pool := newTrainPool(g, params, workers)
 	slots := newGradSlots(params, tc.BatchSize)
 
 	for epoch := 0; epoch < tc.Epochs; epoch++ {
@@ -164,11 +180,7 @@ func Train(cfg Config, tc TrainConfig) (*GHN, TrainReport, error) {
 			if end > len(order) {
 				end = len(order)
 			}
-			loss, err := g.trainBatch(graphs, order[start:end], params, opt, tc.ClipNorm, pool, slots)
-			if err != nil {
-				return nil, report, err
-			}
-			epochLoss += loss
+			epochLoss += g.trainBatch(graphs, order[start:end], params, opt, tc.ClipNorm, pool, slots)
 		}
 		epochLoss /= float64(len(graphs))
 		if epoch == 0 {
@@ -198,29 +210,41 @@ func newGradSlots(params []*nn.Param, batch int) gradSlots {
 	return slots
 }
 
-// trainPool carries the data-parallel workers: full GHN replicas whose
-// weights are re-synced from the master before every sharded batch. The
-// forward/backward arithmetic of a graph is therefore identical no matter
-// which worker runs it.
-type trainPool struct {
-	workers []*GHN
-	params  [][]*nn.Param
+// trainWorker is one goroutine's share of training: a network to run
+// forward/backward on, that network's parameters (its gradient
+// accumulators), and the tape state — arena included — it reuses for every
+// step.
+type trainWorker struct {
+	g      *GHN
+	params []*nn.Param
+	st     forwardState
 }
 
-func newTrainPool(master *GHN, n int) *trainPool {
-	p := &trainPool{workers: make([]*GHN, n), params: make([][]*nn.Param, n)}
-	for i := range p.workers {
-		p.workers[i] = master.cloneArch()
-		p.params[i] = p.workers[i].Params()
+// trainPool is the set of workers a batch is sharded across. A pool of one
+// is the master network itself (the serial path); a larger pool is made of
+// full replicas whose weights are re-synced from the master before every
+// batch. The forward/backward arithmetic of a graph is therefore identical
+// no matter which worker runs it.
+type trainPool []*trainWorker
+
+func newTrainPool(master *GHN, params []*nn.Param, n int) trainPool {
+	p := make(trainPool, max(n, 1))
+	for i := range p {
+		g, ps := master, params
+		if n > 1 {
+			g = master.cloneArch()
+			ps = g.Params()
+		}
+		p[i] = &trainWorker{g: g, params: ps, st: forwardState{arena: new(nn.Arena)}}
 	}
 	return p
 }
 
 // sync copies the master weights into every replica.
-func (p *trainPool) sync(master []*nn.Param) {
-	for _, wp := range p.params {
+func (p trainPool) sync(master []*nn.Param) {
+	for _, w := range p {
 		for k, mp := range master {
-			copy(wp[k].W.Data(), mp.W.Data())
+			copy(w.params[k].W.Data(), mp.W.Data())
 		}
 	}
 }
@@ -238,11 +262,11 @@ func (g *GHN) cloneArch() *GHN {
 }
 
 // trainBatch runs one optimizer step over a batch of graph indices,
-// sharding the per-graph forward/backward passes across the pool when one
-// is available. The serial (pool == nil) and parallel paths produce
+// sharding the per-graph forward/backward passes across the pool, and
+// returns the batch's summed loss. A pool of one and a pool of many produce
 // bit-identical results: both compute one gradient per graph in isolation
 // and reduce them in ascending batch order before clip + Adam.
-func (g *GHN) trainBatch(graphs []*graph.Graph, batch []int, params []*nn.Param, opt nn.Optimizer, clip float64, pool *trainPool, slots gradSlots) (float64, error) {
+func (g *GHN) trainBatch(graphs []*tapeGraph, batch []int, params []*nn.Param, opt nn.Optimizer, clip float64, pool trainPool, slots gradSlots) float64 {
 	var queueDepth *obs.Gauge
 	if m := g.metrics.Load(); m != nil {
 		if m.StepSeconds != nil {
@@ -250,54 +274,41 @@ func (g *GHN) trainBatch(graphs []*graph.Graph, batch []int, params []*nn.Param,
 		}
 		queueDepth = m.QueueDepth
 	}
-	if len(batch) == 1 && pool == nil {
+	if len(batch) == 1 && len(pool) == 1 {
 		// Fast path: a single-graph batch accumulates straight into the
 		// master gradients — numerically identical to the slot path
 		// (adding one slot into zeroed gradients reproduces it exactly).
-		return g.trainStep(graphs[batch[0]], params, opt, clip)
+		loss := pool[0].gradStep(graphs[batch[0]])
+		nn.ClipGradNorm(params, clip)
+		opt.Step(params)
+		return loss
 	}
 
 	losses := make([]float64, len(batch))
-	if pool == nil {
+	if len(pool) == 1 {
 		for b, gi := range batch {
-			loss, err := g.gradIntoSlot(graphs[gi], params, slots[b])
-			if err != nil {
-				return 0, err
-			}
-			losses[b] = loss
+			losses[b] = pool[0].gradIntoSlot(graphs[gi], slots[b])
 		}
 	} else {
 		pool.sync(params)
 		queueDepth.Set(int64(len(batch)))
 		var next int32
-		errs := make([]error, len(pool.workers))
 		var wg sync.WaitGroup
-		for w := range pool.workers {
+		for _, w := range pool {
 			wg.Add(1)
-			go func(w int) {
+			go func(w *trainWorker) {
 				defer wg.Done()
-				wg2, wp := pool.workers[w], pool.params[w]
 				for {
 					b := int(atomic.AddInt32(&next, 1)) - 1
 					if b >= len(batch) {
 						return
 					}
 					queueDepth.Dec() // item claimed: backlog shrinks
-					loss, err := wg2.gradIntoSlot(graphs[batch[b]], wp, slots[b])
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					losses[b] = loss
+					losses[b] = w.gradIntoSlot(graphs[batch[b]], slots[b])
 				}
 			}(w)
 		}
 		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
-			}
-		}
 	}
 
 	// Fixed-order reduction: ascending batch position, then mean, clip,
@@ -320,87 +331,76 @@ func (g *GHN) trainBatch(graphs []*graph.Graph, batch []int, params []*nn.Param,
 	for _, l := range losses {
 		total += l
 	}
-	return total, nil
+	return total
 }
 
-// gradIntoSlot computes one graph's gradient into slot (via the receiver's
+// gradIntoSlot computes one graph's gradient into slot (via the worker's
 // own accumulators) and returns its loss. It never touches the optimizer.
-func (g *GHN) gradIntoSlot(gr *graph.Graph, params []*nn.Param, slot [][]float64) (float64, error) {
-	loss, err := g.gradStep(gr, params)
-	if err != nil {
-		return 0, err
-	}
-	for k, p := range params {
+func (w *trainWorker) gradIntoSlot(tg *tapeGraph, slot [][]float64) float64 {
+	loss := w.gradStep(tg)
+	for k, p := range w.params {
 		copy(slot[k], p.Grad.Data())
 	}
-	return loss, nil
+	return loss
 }
 
-// trainStep performs one forward/backward/update on a single graph and
-// returns the loss.
-func (g *GHN) trainStep(gr *graph.Graph, params []*nn.Param, opt nn.Optimizer, clip float64) (float64, error) {
-	loss, err := g.gradStep(gr, params)
-	if err != nil {
-		return 0, err
-	}
-	nn.ClipGradNorm(params, clip)
-	opt.Step(params)
-	return loss, nil
-}
-
-// gradStep zeroes the gradient accumulators and runs one forward/backward
-// pass on a single graph, leaving the graph's gradient in params.
-func (g *GHN) gradStep(gr *graph.Graph, params []*nn.Param) (float64, error) {
-	st, err := g.forward(gr)
-	if err != nil {
-		return 0, err
-	}
+// gradStep resets the worker's arena, zeroes its gradient accumulators and
+// runs one forward/backward pass on a single graph, leaving the graph's
+// gradient in w.params and returning its loss. Every vector the pass
+// produced is dead once the next gradStep starts.
+func (w *trainWorker) gradStep(tg *tapeGraph) float64 {
+	g, st := w.g, &w.st
+	a := st.arena
+	a.Reset()
+	g.forward(st, tg)
 	n := len(st.h)
 
-	nn.ZeroGrads(params)
+	nn.ZeroGrads(w.params)
 	var total float64
 
 	// Per-node decoder loss.
-	gradNodes := make([][]float64, n)
+	st.gradNodes = rows(st.gradNodes, n)
 	nodeWeight := 1 / float64(n)
-	for v, node := range gr.Nodes {
-		out, cache := g.decoder.Forward(st.h[v])
-		loss, grad := nn.HuberLoss(out, nodeTargets(node), 1)
+	for v := range st.h {
+		out, cache := g.decoder.Forward(a, st.h[v])
+		loss, grad := nn.HuberLoss(a, out, tg.nodeT[v], 1)
 		total += loss * nodeWeight
 		for i := range grad {
 			grad[i] *= nodeWeight
 		}
-		gradNodes[v] = g.decoder.Backward(cache, grad)
+		st.gradNodes[v] = g.decoder.Backward(a, cache, grad)
 	}
 
 	// Graph-level head loss on the projected embedding.
 	readout := g.readout(st)
-	emb := g.proj.Forward(readout)
-	out, cache := g.graphHead.Forward(emb)
-	loss, grad := nn.HuberLoss(out, graphTargets(gr), 1)
+	emb := g.proj.Forward(a, readout)
+	out, cache := g.graphHead.Forward(a, emb)
+	loss, grad := nn.HuberLoss(a, out, tg.graphT, 1)
 	total += loss
-	gradEmb := g.graphHead.Backward(cache, grad)
-	gradReadout := g.proj.Backward(readout, gradEmb)
+	gradEmb := g.graphHead.Backward(a, cache, grad)
+	gradReadout := g.proj.Backward(a, readout, gradEmb)
 
-	g.backward(st, gradNodes, gradReadout)
-	return total, nil
+	g.backward(st, st.gradNodes, gradReadout)
+	return total
 }
 
 // Loss evaluates (without updating) the proxy loss on one graph — used by
 // tests and the training monitor.
 func (g *GHN) Loss(gr *graph.Graph) (float64, error) {
-	st, err := g.forward(gr)
+	tg, err := g.newTrainGraph(gr)
 	if err != nil {
 		return 0, err
 	}
+	var st forwardState
+	g.forward(&st, tg)
 	var total float64
 	nodeWeight := 1 / float64(len(st.h))
-	for v, node := range gr.Nodes {
-		out, _ := g.decoder.Forward(st.h[v])
-		l, _ := nn.HuberLoss(out, nodeTargets(node), 1)
+	for v := range st.h {
+		out, _ := g.decoder.Forward(nil, st.h[v])
+		l, _ := nn.HuberLoss(nil, out, tg.nodeT[v], 1)
 		total += l * nodeWeight
 	}
-	out, _ := g.graphHead.Forward(g.proj.Forward(g.readout(st)))
-	l, _ := nn.HuberLoss(out, graphTargets(gr), 1)
+	out, _ := g.graphHead.Forward(nil, g.proj.Forward(nil, g.readout(&st)))
+	l, _ := nn.HuberLoss(nil, out, tg.graphT, 1)
 	return total + l, nil
 }

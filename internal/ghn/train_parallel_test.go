@@ -111,6 +111,37 @@ func BenchmarkGHNTrainParallel(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { run(b, runtime.NumCPU()) })
 }
 
+// benchWorker is a serial training worker plus prepared graphs at the
+// benchmark's scale (BENCHMARK.json's offline_fit: zero Config, so d = 32
+// without virtual edges, CIFAR-shaped DARTS-style graphs).
+func benchWorker(tb testing.TB, graphs int) (*trainWorker, []*tapeGraph) {
+	tb.Helper()
+	rng := tensor.NewRNG(1)
+	g := New(Config{}, rng)
+	tgs := make([]*tapeGraph, graphs)
+	for i := range tgs {
+		var err error
+		if tgs[i], err = g.newTrainGraph(graph.RandomGraph(rng, graph.DefaultConfig())); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return newTrainPool(g, g.Params(), 1)[0], tgs
+}
+
+// BenchmarkGHNTrainStep is one gradStep — arena reset, forward, loss,
+// backward — per op, so -benchmem reads training's ns and allocs per graph.
+func BenchmarkGHNTrainStep(b *testing.B) {
+	w, tgs := benchWorker(b, 16)
+	for _, tg := range tgs {
+		w.gradStep(tg) // grow the arena and the tape tables to their steady size
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.gradStep(tgs[i%len(tgs)])
+	}
+}
+
 // The worker replicas must start from the master's exact weights.
 func TestCloneArchSharesNothingButValues(t *testing.T) {
 	g := New(Config{HiddenDim: 8}, tensor.NewRNG(5))

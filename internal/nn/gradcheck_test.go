@@ -46,12 +46,12 @@ func TestLinearGradCheck(t *testing.T) {
 	rng.FillNormal(target, 0, 1)
 
 	loss := func() float64 {
-		v, _ := MSELoss(l.Forward(x), target)
+		v, _ := MSELoss(l.Forward(nil, x), target)
 		return v
 	}
 	checkParamGrads(t, l.Params(), loss, func() {
-		_, g := MSELoss(l.Forward(x), target)
-		l.Backward(x, g)
+		_, g := MSELoss(l.Forward(nil, x), target)
+		l.Backward(nil, x, g)
 	}, 1e-6)
 }
 
@@ -64,16 +64,16 @@ func TestLinearInputGradCheck(t *testing.T) {
 	rng.FillNormal(target, 0, 1)
 
 	ZeroGrads(l.Params())
-	_, g := MSELoss(l.Forward(x), target)
-	gradIn := l.Backward(x, g)
+	_, g := MSELoss(l.Forward(nil, x), target)
+	gradIn := l.Backward(nil, x, g)
 
 	const h = 1e-5
 	for i := range x {
 		orig := x[i]
 		x[i] = orig + h
-		lp, _ := MSELoss(l.Forward(x), target)
+		lp, _ := MSELoss(l.Forward(nil, x), target)
 		x[i] = orig - h
-		lm, _ := MSELoss(l.Forward(x), target)
+		lm, _ := MSELoss(l.Forward(nil, x), target)
 		x[i] = orig
 		want := (lp - lm) / (2 * h)
 		if math.Abs(gradIn[i]-want) > 1e-6*(1+math.Abs(want)) {
@@ -98,9 +98,9 @@ func TestMLPGradCheck(t *testing.T) {
 		// ReLU kinks make finite differences unreliable exactly at 0; the
 		// random inputs avoid that set with probability 1.
 		checkParamGrads(t, m.Params(), loss, func() {
-			out, c := m.Forward(x)
+			out, c := m.Forward(nil, x)
 			_, g := MSELoss(out, target)
-			m.Backward(c, g)
+			m.Backward(nil, c, g)
 		}, 1e-5)
 	}
 }
@@ -116,14 +116,14 @@ func TestGRUGradCheckParams(t *testing.T) {
 	rng.FillNormal(target, 0, 1)
 
 	loss := func() float64 {
-		out, _ := g.Forward(x, h)
+		out, _ := g.Forward(nil, x, h)
 		v, _ := MSELoss(out, target)
 		return v
 	}
 	checkParamGrads(t, g.Params(), loss, func() {
-		out, c := g.Forward(x, h)
+		out, c := g.Forward(nil, x, h)
 		_, grad := MSELoss(out, target)
-		g.Backward(c, grad)
+		g.Backward(nil, c, grad)
 	}, 1e-5)
 }
 
@@ -138,13 +138,13 @@ func TestGRUGradCheckInputs(t *testing.T) {
 	rng.FillNormal(target, 0, 1)
 
 	ZeroGrads(g.Params())
-	out, c := g.Forward(x, h)
+	out, c := g.Forward(nil, x, h)
 	_, grad := MSELoss(out, target)
-	gx, gh := g.Backward(c, grad)
+	gx, gh := g.Backward(nil, c, grad)
 
 	const eps = 1e-5
 	lossAt := func() float64 {
-		o, _ := g.Forward(x, h)
+		o, _ := g.Forward(nil, x, h)
 		v, _ := MSELoss(o, target)
 		return v
 	}
@@ -184,9 +184,9 @@ func TestGradientAccumulationAcrossCalls(t *testing.T) {
 	g := []float64{1, 1}
 
 	ZeroGrads(l.Params())
-	l.Backward(x1, g)
+	l.Backward(nil, x1, g)
 	once := l.Weight.Grad.Clone()
-	l.Backward(x2, g)
+	l.Backward(nil, x2, g)
 	twice := l.Weight.Grad
 
 	// After the second call, grads from the first call must still be there.

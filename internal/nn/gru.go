@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"predictddl/internal/tensor"
 )
@@ -20,9 +19,11 @@ type GRUCell struct {
 	Bz, Br, Bc             *Param // 1 x Hidden
 }
 
-// GRUCache holds one invocation's intermediates for Backward.
+// GRUCache holds one invocation's intermediates for Backward: the inputs
+// and the gate buffers InferInto filled.
 type GRUCache struct {
-	x, h, z, r, c, rh []float64
+	x, h []float64
+	GRUScratch
 }
 
 // NewGRUCell returns a Glorot-initialized GRU cell.
@@ -50,139 +51,65 @@ func (g *GRUCell) Params() []*Param {
 	return []*Param{g.Wz, g.Wr, g.Wc, g.Uz, g.Ur, g.Uc, g.Bz, g.Br, g.Bc}
 }
 
-func affine(w, u *Param, b *Param, x, h []float64, out []float64) {
-	bias := b.W.Row(0)
-	for i := range out {
-		out[i] = tensor.Dot(w.W.Row(i), x) + tensor.Dot(u.W.Row(i), h) + bias[i]
-	}
-}
-
 // Forward computes the next hidden state h' from input x and previous state
-// h, returning h' and the cache needed by Backward.
-func (g *GRUCell) Forward(x, h []float64) ([]float64, *GRUCache) {
+// h, returning h' and the cache needed by Backward. It is InferInto writing
+// into buffers from a (nil: the heap) that the cache then keeps.
+func (g *GRUCell) Forward(a *Arena, x, h []float64) ([]float64, GRUCache) {
 	if len(x) != g.InDim || len(h) != g.HiddenDim {
 		panic(fmt.Sprintf("nn: gru forward shapes x=%d h=%d, want %d/%d", len(x), len(h), g.InDim, g.HiddenDim))
 	}
 	n := g.HiddenDim
-	cache := &GRUCache{x: x, h: h}
-	z := make([]float64, n)
-	r := make([]float64, n)
-	affine(g.Wz, g.Uz, g.Bz, x, h, z)
-	affine(g.Wr, g.Ur, g.Br, x, h, r)
-	for i := range z {
-		z[i] = Sigmoidf(z[i])
-		r[i] = Sigmoidf(r[i])
-	}
-	rh := make([]float64, n)
-	for i := range rh {
-		rh[i] = r[i] * h[i]
-	}
-	c := make([]float64, n)
-	affine(g.Wc, g.Uc, g.Bc, x, rh, c)
-	for i := range c {
-		c[i] = math.Tanh(c[i])
-	}
-	hNew := make([]float64, n)
-	for i := range hNew {
-		hNew[i] = (1-z[i])*h[i] + z[i]*c[i]
-	}
-	cache.z, cache.r, cache.c, cache.rh = z, r, c, rh
+	cache := GRUCache{x: x, h: h, GRUScratch: GRUScratch{z: a.Floats(n), r: a.Floats(n), rh: a.Floats(n), c: a.Floats(n)}}
+	hNew := a.Floats(n)
+	g.InferInto(hNew, x, h, &cache.GRUScratch)
 	return hNew, cache
 }
 
-// Infer computes the next hidden state without building a backprop cache.
-// It mirrors Forward step for step (bit-identical output) while skipping
-// the GRUCache; it is the straightforward reference implementation the
-// fast-path equivalence tests compare InferInto against. Steady-state
-// callers should use InferInto, which also skips the per-call gate
-// allocations.
-func (g *GRUCell) Infer(x, h []float64) []float64 {
-	if len(x) != g.InDim || len(h) != g.HiddenDim {
-		panic(fmt.Sprintf("nn: gru infer shapes x=%d h=%d, want %d/%d", len(x), len(h), g.InDim, g.HiddenDim))
-	}
-	n := g.HiddenDim
-	z := make([]float64, n)
-	r := make([]float64, n)
-	affine(g.Wz, g.Uz, g.Bz, x, h, z)
-	affine(g.Wr, g.Ur, g.Br, x, h, r)
-	for i := range z {
-		z[i] = Sigmoidf(z[i])
-		r[i] = Sigmoidf(r[i])
-	}
-	rh := make([]float64, n)
-	for i := range rh {
-		rh[i] = r[i] * h[i]
-	}
-	c := make([]float64, n)
-	affine(g.Wc, g.Uc, g.Bc, x, rh, c)
-	for i := range c {
-		c[i] = math.Tanh(c[i])
-	}
-	hNew := make([]float64, n)
-	for i := range hNew {
-		hNew[i] = (1-z[i])*h[i] + z[i]*c[i]
-	}
-	return hNew
-}
-
-// Backward consumes gradH = dL/dh' and returns (dL/dx, dL/dh), accumulating
-// parameter gradients.
-func (g *GRUCell) Backward(cache *GRUCache, gradH []float64) (gradX, gradHPrev []float64) {
+// Backward consumes gradH = dL/dh' and returns (dL/dx, dL/dh) in slices
+// from a, accumulating parameter gradients.
+func (g *GRUCell) Backward(a *Arena, cache GRUCache, gradH []float64) (gradX, gradHPrev []float64) {
 	n := g.HiddenDim
 	x, h, z, r, c, rh := cache.x, cache.h, cache.z, cache.r, cache.c, cache.rh
 
-	dz := make([]float64, n)
-	dc := make([]float64, n)
-	dh := make([]float64, n)
+	dz := a.Floats(n)
+	dc := a.Floats(n)
+	dh := a.Floats(n)
 	for i := 0; i < n; i++ {
 		dz[i] = gradH[i] * (c[i] - h[i])
 		dc[i] = gradH[i] * z[i]
 		dh[i] = gradH[i] * (1 - z[i])
 	}
 	// Candidate pre-activation gradient.
-	dcPre := make([]float64, n)
+	dcPre := a.Floats(n)
 	for i := 0; i < n; i++ {
 		dcPre[i] = dc[i] * (1 - c[i]*c[i])
 	}
-	gradX = make([]float64, g.InDim)
-	drh := make([]float64, n)
-	g.accumulateAffine(g.Wc, g.Uc, g.Bc, x, rh, dcPre, gradX, drh)
+	gradX = a.Floats(g.InDim)
+	drh := a.Floats(n)
+	accumulateAffine(g.Wc, g.Uc, g.Bc, x, rh, dcPre, gradX, drh)
 	// Reset-gate contribution: rh = r⊙h.
-	dr := make([]float64, n)
+	dr := a.Floats(n)
 	for i := 0; i < n; i++ {
 		dr[i] = drh[i] * h[i]
 		dh[i] += drh[i] * r[i]
 	}
-	dzPre := make([]float64, n)
-	drPre := make([]float64, n)
+	dzPre := a.Floats(n)
+	drPre := a.Floats(n)
 	for i := 0; i < n; i++ {
 		dzPre[i] = dz[i] * z[i] * (1 - z[i])
 		drPre[i] = dr[i] * r[i] * (1 - r[i])
 	}
-	g.accumulateAffine(g.Wz, g.Uz, g.Bz, x, h, dzPre, gradX, dh)
-	g.accumulateAffine(g.Wr, g.Ur, g.Br, x, h, drPre, gradX, dh)
+	accumulateAffine(g.Wz, g.Uz, g.Bz, x, h, dzPre, gradX, dh)
+	accumulateAffine(g.Wr, g.Ur, g.Br, x, h, drPre, gradX, dh)
 	return gradX, dh
 }
 
 // accumulateAffine handles the shared backward pattern for
 // pre = W x + U s + b: given dPre it accumulates dW, dU, db and adds the
-// input gradients into gradX and gradS.
-func (g *GRUCell) accumulateAffine(w, u, b *Param, x, s, dPre, gradX, gradS []float64) {
-	bGrad := b.Grad.Row(0)
-	for i, d := range dPre {
-		bGrad[i] += d
-		if d == 0 {
-			continue
-		}
-		wRow, wGrad := w.W.Row(i), w.Grad.Row(i)
-		for j, xj := range x {
-			wGrad[j] += d * xj
-			gradX[j] += d * wRow[j]
-		}
-		uRow, uGrad := u.W.Row(i), u.Grad.Row(i)
-		for j, sj := range s {
-			uGrad[j] += d * sj
-			gradS[j] += d * uRow[j]
-		}
-	}
+// input gradients into gradX and gradS. W and U own disjoint gradients, so
+// the two halves are independent kernel calls.
+func accumulateAffine(w, u, b *Param, x, s, dPre, gradX, gradS []float64) {
+	tensor.AxpyInPlace(b.Grad.Data(), dPre, 1)
+	tensor.MatVecBackward(w.Grad.Data(), gradX, w.W.Data(), len(x), dPre, x)
+	tensor.MatVecBackward(u.Grad.Data(), gradS, u.W.Data(), len(s), dPre, s)
 }

@@ -1,6 +1,8 @@
 // Inference fast path: allocation-free InferInto methods that read the
 // live parameter storage (never stale — training updates are visible
-// immediately) and are bit-identical to the corresponding Forward methods.
+// immediately). The Forward methods are these plus output allocation and a
+// cache, so the two are bit-identical by construction; naive_test.go holds
+// the Dot-per-row arithmetic both are checked against.
 package nn
 
 import (
@@ -32,7 +34,7 @@ func (m *MLP) MaxDim() int {
 
 // InferInto runs the network into dst without allocating; tmp1 and tmp2
 // are ping-pong buffers of at least MaxDim elements that must not alias x
-// or dst. Output matches Forward bit-for-bit.
+// or dst.
 func (m *MLP) InferInto(dst, x, tmp1, tmp2 []float64) {
 	n := len(m.layers)
 	cur := x
@@ -47,10 +49,7 @@ func (m *MLP) InferInto(dst, x, tmp1, tmp2 []float64) {
 			out = tmp2[:l.Out]
 		}
 		l.InferInto(out, cur)
-		act := m.hiddenAct
-		if i == n-1 {
-			act = m.outputAct
-		}
+		act := m.act(i)
 		for j, v := range out {
 			out[j] = act.Apply(v)
 		}
@@ -76,9 +75,9 @@ func NewGRUScratch(hidden int) *GRUScratch {
 
 // InferInto computes the next hidden state into hNew without allocating.
 // hNew must not alias h; s provides the gate buffers (the kernels panic on
-// any other shape mismatch). Output matches Forward bit-for-bit: each gate
-// pre-activation evaluates as (dot(W,x) + dot(U,h)) + b, the same
-// association Forward's affine uses.
+// any other shape mismatch). Each gate pre-activation evaluates as
+// (dot(W,x) + dot(U,h)) + b — MatVec seeds dst, MatVecAccBias adds the
+// recurrent half and then the bias.
 func (g *GRUCell) InferInto(hNew, x, h []float64, s *GRUScratch) {
 	in, hid := g.InDim, g.HiddenDim
 	if len(hNew) != hid {

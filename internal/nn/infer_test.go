@@ -6,14 +6,16 @@ import (
 	"predictddl/internal/tensor"
 )
 
-// Every inference entry point — the allocating reference (Infer) and the
-// scratch-based fast path (InferInto) — must reproduce the training Forward
-// pass bit-for-bit.
+// The scratch-based fast path (InferInto) must reproduce the training
+// Forward pass bit-for-bit. Both now run the same tensor kernel, so the
+// expected values come from the naive Dot-per-row references in
+// naive_test.go wherever one exists.
 func TestLinearInferIntoMatchesForward(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	l := NewLinear("l", 7, 5, rng)
 	x := rng.GlorotMatrix(1, 7).Row(0)
-	want := l.Forward(x)
+	want := naiveLinearForward(l, x)
+	bitsEqual(t, "Forward", l.Forward(nil, x), want)
 	got := make([]float64, 5)
 	l.InferInto(got, x)
 	for i := range want {
@@ -28,7 +30,7 @@ func TestMLPInferIntoMatchesForward(t *testing.T) {
 	for _, sizes := range [][]int{{6, 9}, {6, 9, 4}, {6, 9, 7, 3}} {
 		m := NewMLP("m", sizes, ReLU, Identity, rng)
 		x := rng.GlorotMatrix(1, sizes[0]).Row(0)
-		want, _ := m.Forward(x)
+		want, _ := m.Forward(nil, x)
 		got := make([]float64, m.OutDim())
 		tmp1 := make([]float64, m.MaxDim())
 		tmp2 := make([]float64, m.MaxDim())
@@ -46,13 +48,13 @@ func TestGRUInferIntoMatchesForward(t *testing.T) {
 	g := NewGRUCell("g", 5, 8, rng)
 	x := rng.GlorotMatrix(1, 5).Row(0)
 	h := rng.GlorotMatrix(1, 8).Row(0)
-	want, _ := g.Forward(x, h)
+	want, _ := g.Forward(nil, x, h)
 
-	// Reference Infer (the trivial cache-free fix).
-	ref := g.Infer(x, h)
+	// The Dot-per-row reference.
+	ref, _, _, _, _ := naiveGRUForward(g, x, h)
 	for i := range want {
 		if ref[i] != want[i] {
-			t.Fatalf("Infer[%d] = %v, want %v", i, ref[i], want[i])
+			t.Fatalf("naive[%d] = %v, want %v", i, ref[i], want[i])
 		}
 	}
 
@@ -67,18 +69,17 @@ func TestGRUInferIntoMatchesForward(t *testing.T) {
 	}
 }
 
-// GRUCell.Infer must not allocate the backprop cache: its allocation count
-// is the five result/gate slices, nothing more. The regression this pins
-// down: Infer used to call Forward and discard a GRUCache plus its cached
-// slices.
-func TestGRUInferAllocBound(t *testing.T) {
+// Forward on the heap allocates the four gate buffers and the new state,
+// nothing more: the GRUCache is a value holding their headers, not a sixth
+// allocation. (With an arena it allocates nothing; see TestArena*.)
+func TestGRUForwardHeapAllocBound(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	g := NewGRUCell("g", 16, 16, rng)
 	x := rng.GlorotMatrix(1, 16).Row(0)
 	h := rng.GlorotMatrix(1, 16).Row(0)
-	allocs := testing.AllocsPerRun(100, func() { g.Infer(x, h) })
+	allocs := testing.AllocsPerRun(100, func() { g.Forward(nil, x, h) })
 	if allocs > 5 {
-		t.Fatalf("Infer allocates %v per run, want <= 5 (cache-free)", allocs)
+		t.Fatalf("Forward(nil) allocates %v per run, want <= 5 (gates + state)", allocs)
 	}
 }
 

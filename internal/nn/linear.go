@@ -29,38 +29,25 @@ func NewLinear(name string, in, out int, rng *tensor.RNG) *Linear {
 // Params returns the layer's learnable parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
-// Forward computes y = W x + b. len(x) must equal In.
-func (l *Linear) Forward(x []float64) []float64 {
+// Forward computes y = W x + b into a slice from a (nil: the heap), on the
+// same kernel as InferInto. len(x) must equal In.
+func (l *Linear) Forward(a *Arena, x []float64) []float64 {
 	if len(x) != l.In {
 		panic(fmt.Sprintf("nn: linear forward got %d inputs, want %d", len(x), l.In))
 	}
-	out := make([]float64, l.Out)
-	bias := l.Bias.W.Row(0)
-	for o := 0; o < l.Out; o++ {
-		out[o] = tensor.Dot(l.Weight.W.Row(o), x) + bias[o]
-	}
+	out := a.Floats(l.Out)
+	l.InferInto(out, x)
 	return out
 }
 
 // Backward accumulates dL/dW and dL/db given the input x used in the forward
-// pass and gradOut = dL/dy, and returns dL/dx.
-func (l *Linear) Backward(x, gradOut []float64) []float64 {
+// pass and gradOut = dL/dy, and returns dL/dx in a slice from a.
+func (l *Linear) Backward(a *Arena, x, gradOut []float64) []float64 {
 	if len(x) != l.In || len(gradOut) != l.Out {
 		panic(fmt.Sprintf("nn: linear backward shapes x=%d gradOut=%d, want %d/%d", len(x), len(gradOut), l.In, l.Out))
 	}
-	gradIn := make([]float64, l.In)
-	biasGrad := l.Bias.Grad.Row(0)
-	for o, g := range gradOut {
-		biasGrad[o] += g
-		if g == 0 {
-			continue
-		}
-		wrow := l.Weight.W.Row(o)
-		growRow := l.Weight.Grad.Row(o)
-		for i, xi := range x {
-			growRow[i] += g * xi
-			gradIn[i] += g * wrow[i]
-		}
-	}
+	tensor.AxpyInPlace(l.Bias.Grad.Data(), gradOut, 1)
+	gradIn := a.Floats(l.In)
+	tensor.MatVecBackward(l.Weight.Grad.Data(), gradIn, l.Weight.W.Data(), l.In, gradOut, x)
 	return gradIn
 }

@@ -20,8 +20,9 @@ func MSELoss(pred, target []float64) (loss float64, grad []float64) {
 
 // HuberLoss is the mean Huber loss with threshold delta — quadratic near
 // zero, linear in the tails — which keeps GHN proxy training robust to the
-// heavy-tailed FLOP/parameter targets.
-func HuberLoss(pred, target []float64, delta float64) (loss float64, grad []float64) {
+// heavy-tailed FLOP/parameter targets. grad is a slice from a (nil: the
+// heap).
+func HuberLoss(a *Arena, pred, target []float64, delta float64) (loss float64, grad []float64) {
 	if len(pred) != len(target) || len(pred) == 0 {
 		panic("nn: HuberLoss requires equal non-empty slices")
 	}
@@ -29,7 +30,7 @@ func HuberLoss(pred, target []float64, delta float64) (loss float64, grad []floa
 		panic("nn: HuberLoss delta must be positive")
 	}
 	n := float64(len(pred))
-	grad = make([]float64, len(pred))
+	grad = a.Floats(len(pred))
 	for i, p := range pred {
 		d := p - target[i]
 		if a := math.Abs(d); a <= delta {

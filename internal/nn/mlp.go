@@ -18,11 +18,13 @@ type MLP struct {
 
 // MLPCache stores the per-invocation intermediates Backward needs. One cache
 // is produced per Forward call, so a shared MLP can appear many times in a
-// computation graph.
+// computation graph. It is a value of three slice headers: every layer's
+// pre- and post-activation sit back to back in one vector each, and layer
+// i's input is x for i == 0 and layer i-1's stretch of out otherwise.
 type MLPCache struct {
-	inputs [][]float64 // input to each layer
-	pre    [][]float64 // pre-activation of each layer
-	out    [][]float64 // post-activation of each layer
+	x   []float64 // network input
+	pre []float64 // pre-activations, layers concatenated
+	out []float64 // post-activations, layers concatenated
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. sizes = [32, 64, 32]
@@ -54,65 +56,69 @@ func (m *MLP) InDim() int { return m.layers[0].In }
 // OutDim returns the output dimensionality.
 func (m *MLP) OutDim() int { return m.layers[len(m.layers)-1].Out }
 
+// width is the summed output width of all layers: the length of an
+// MLPCache's pre and out vectors.
+func (m *MLP) width() int {
+	n := 0
+	for _, l := range m.layers {
+		n += l.Out
+	}
+	return n
+}
+
+// act returns the activation that follows layer i.
+func (m *MLP) act(i int) Activation {
+	if i == len(m.layers)-1 {
+		return m.outputAct
+	}
+	return m.hiddenAct
+}
+
 // Forward runs the network and returns the output along with the cache
-// required by Backward.
-func (m *MLP) Forward(x []float64) ([]float64, *MLPCache) {
-	c := &MLPCache{}
-	cur := x
+// required by Backward; both live in a (nil: the heap).
+func (m *MLP) Forward(a *Arena, x []float64) ([]float64, MLPCache) {
+	w := m.width()
+	c := MLPCache{x: x, pre: a.Floats(w), out: a.Floats(w)}
+	cur, off := x, 0
 	for i, l := range m.layers {
-		c.inputs = append(c.inputs, cur)
-		pre := l.Forward(cur)
-		c.pre = append(c.pre, pre)
-		act := m.hiddenAct
-		if i == len(m.layers)-1 {
-			act = m.outputAct
-		}
-		out := make([]float64, len(pre))
+		pre, out := c.pre[off:off+l.Out], c.out[off:off+l.Out:off+l.Out]
+		l.InferInto(pre, cur)
+		act := m.act(i)
 		for j, v := range pre {
 			out[j] = act.Apply(v)
 		}
-		c.out = append(c.out, out)
-		cur = out
+		cur, off = out, off+l.Out
 	}
 	return cur, c
 }
 
-// Infer runs the network without building a cache (prediction-only path).
-// It allocates one slice per layer and is the reference implementation the
-// fast-path equivalence tests compare InferInto against; steady-state
-// callers should use InferInto with reused scratch.
+// Infer runs the network without keeping a cache (prediction-only path):
+// Forward on the heap with the cache dropped. Steady-state callers should
+// use InferInto with reused scratch.
 func (m *MLP) Infer(x []float64) []float64 {
-	cur := x
-	for i, l := range m.layers {
-		pre := l.Forward(cur)
-		act := m.hiddenAct
-		if i == len(m.layers)-1 {
-			act = m.outputAct
-		}
-		out := make([]float64, len(pre))
-		for j, v := range pre {
-			out[j] = act.Apply(v)
-		}
-		cur = out
-	}
-	return cur
+	out, _ := m.Forward(nil, x)
+	return out
 }
 
 // Backward propagates gradOut = dL/d(output) through the cached invocation,
-// accumulating parameter gradients, and returns dL/d(input).
-func (m *MLP) Backward(c *MLPCache, gradOut []float64) []float64 {
-	grad := gradOut
+// accumulating parameter gradients, and returns dL/d(input) in a slice
+// from a.
+func (m *MLP) Backward(a *Arena, c MLPCache, gradOut []float64) []float64 {
+	grad, off := gradOut, m.width()
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		act := m.hiddenAct
-		if i == len(m.layers)-1 {
-			act = m.outputAct
+		l := m.layers[i]
+		off -= l.Out
+		pre, out := c.pre[off:off+l.Out], c.out[off:off+l.Out]
+		in := c.x
+		if i > 0 {
+			in = c.out[off-l.In : off]
 		}
-		pre, out := c.pre[i], c.out[i]
-		gpre := make([]float64, len(grad))
+		act := m.act(i)
+		gpre := a.Floats(l.Out)
 		for j, g := range grad {
 			gpre[j] = g * act.Deriv(pre[j], out[j])
 		}
-		grad = m.layers[i].Backward(c.inputs[i], gpre)
+		grad = l.Backward(a, in, gpre)
 	}
 	return grad
 }

@@ -53,16 +53,16 @@ func TestMSELossKnown(t *testing.T) {
 
 func TestHuberLossRegimes(t *testing.T) {
 	// Inside delta: quadratic, matches 0.5 d².
-	loss, grad := HuberLoss([]float64{0.5}, []float64{0}, 1)
+	loss, grad := HuberLoss(nil, []float64{0.5}, []float64{0}, 1)
 	if math.Abs(loss-0.125) > 1e-12 || math.Abs(grad[0]-0.5) > 1e-12 {
 		t.Fatalf("quadratic regime: loss=%v grad=%v", loss, grad)
 	}
 	// Outside delta: linear with slope ±delta.
-	loss, grad = HuberLoss([]float64{5}, []float64{0}, 1)
+	loss, grad = HuberLoss(nil, []float64{5}, []float64{0}, 1)
 	if math.Abs(loss-4.5) > 1e-12 || math.Abs(grad[0]-1) > 1e-12 {
 		t.Fatalf("linear regime: loss=%v grad=%v", loss, grad)
 	}
-	_, grad = HuberLoss([]float64{-5}, []float64{0}, 1)
+	_, grad = HuberLoss(nil, []float64{-5}, []float64{0}, 1)
 	if math.Abs(grad[0]+1) > 1e-12 {
 		t.Fatalf("negative tail grad = %v, want -1", grad[0])
 	}
@@ -129,10 +129,10 @@ func TestAdamReducesMLPLoss(t *testing.T) {
 	before := avgLoss()
 	for i := 0; i < 2000; i++ {
 		x, y := sample()
-		out, c := m.Forward(x)
+		out, c := m.Forward(nil, x)
 		_, g := MSELoss(out, y)
 		ZeroGrads(params)
-		m.Backward(c, g)
+		m.Backward(nil, c, g)
 		opt.Step(params)
 	}
 	after := avgLoss()
@@ -194,7 +194,7 @@ func TestMLPInferMatchesForward(t *testing.T) {
 	m := NewMLP("m", []int{4, 6, 3}, ReLU, Tanh, rng)
 	x := make([]float64, 4)
 	rng.FillNormal(x, 0, 1)
-	a, _ := m.Forward(x)
+	a, _ := m.Forward(nil, x)
 	b := m.Infer(x)
 	for i := range a {
 		if a[i] != b[i] {
@@ -210,11 +210,11 @@ func TestGRUInferMatchesForward(t *testing.T) {
 	h := make([]float64, 3)
 	rng.FillNormal(x, 0, 1)
 	rng.FillNormal(h, 0, 1)
-	a, _ := g.Forward(x, h)
-	b := g.Infer(x, h)
+	a, _ := g.Forward(nil, x, h)
+	b, _, _, _, _ := naiveGRUForward(g, x, h)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("Infer must match Forward")
+			t.Fatal("Forward must match the Dot-per-row reference")
 		}
 	}
 }
@@ -230,7 +230,7 @@ func TestGRUInterpolationProperty(t *testing.T) {
 		h := make([]float64, 4)
 		rng.FillNormal(x, 0, 2)
 		rng.FillUniform(h, -1, 1)
-		out, _ := g.Forward(x, h)
+		out, _ := g.Forward(nil, x, h)
 		for i, v := range out {
 			if v < -1-1e-9 || v > 1+1e-9 {
 				t.Fatalf("GRU output %v at %d escapes [-1,1] for bounded state", v, i)

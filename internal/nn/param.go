@@ -6,10 +6,15 @@
 //
 // Modules are deliberately vector-oriented (one sample at a time): GHN-2's
 // message passing touches one node embedding per call, and the regression
-// datasets in this project are small. Forward methods return a cache object
+// datasets in this project are small. Forward methods return a cache value
 // that the matching Backward consumes, so a single module can be applied many
 // times inside one computation graph (as GHN-2 does) without clobbering
 // state. Gradients accumulate into Param.Grad until ZeroGrads is called.
+//
+// Forward, Backward and HuberLoss take an *Arena first and draw every
+// vector they return or cache from it; nil means the heap. Forward and
+// InferInto run the same tensor kernels, so training and serving share one
+// set of arithmetic (DESIGN.md §10).
 package nn
 
 import (

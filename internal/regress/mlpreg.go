@@ -72,10 +72,10 @@ func (m *MLPRegressor) Fit(x *tensor.Matrix, y []float64) error {
 	for e := 0; e < epochs; e++ {
 		order := rng.Perm(n)
 		for _, i := range order {
-			out, cache := net.Forward(xs.Row(i))
+			out, cache := net.Forward(nil, xs.Row(i))
 			_, grad := nn.MSELoss(out, ys[i:i+1])
 			nn.ZeroGrads(params)
-			net.Backward(cache, grad)
+			net.Backward(nil, cache, grad)
 			nn.ClipGradNorm(params, 5)
 			opt.Step(params)
 		}

@@ -41,7 +41,7 @@ func MatVec(dst, w []float64, cols int, x []float64) {
 }
 
 // MatVecBias computes dst[r] = dot(w[r,:], x) + bias[r], the Linear layer
-// forward map, bit-identical to Linear.Forward: each row's dot product
+// forward map (training and serving both): each row's dot product
 // accumulates in ascending k order and the bias is added last.
 func MatVecBias(dst, w []float64, cols int, x, bias []float64) {
 	rows := len(dst)
@@ -79,8 +79,7 @@ func MatVecBias(dst, w []float64, cols int, x, bias []float64) {
 // MatVecAccBias computes dst[r] = dst[r] + dot(u[r,:], h) + bias[r]. It is
 // the second half of the GRU affine map pre = W x + U h + b: seeded with
 // dst[r] = dot(W[r,:], x) from MatVec, the combined result evaluates as
-// (dot(W,x) + dot(U,h)) + bias — the exact association GRUCell's affine
-// uses, so it is bit-identical to it.
+// (dot(W,x) + dot(U,h)) + bias.
 func MatVecAccBias(dst, u []float64, cols int, h, bias []float64) {
 	rows := len(dst)
 	if len(h) != cols || len(u) != rows*cols || len(bias) != rows {
@@ -111,5 +110,67 @@ func MatVecAccBias(dst, u []float64, cols int, h, bias []float64) {
 			a += row[k] * hv
 		}
 		dst[r] = dst[r] + a + bias[r]
+	}
+}
+
+// MatVecBackward is the backward map of an affine layer pre = W x (+ b)
+// for one sample: given d = dL/dpre it accumulates the weight gradient
+// gradW[r,:] += d[r]·x and the input gradient gradIn += d[r]·w[r,:], for a
+// row-major len(d) x cols matrix w. gradW, gradIn, w, d and x must not
+// overlap.
+//
+// Rows with d[r] == 0 are skipped outright, not multiplied through: adding
+// 0·x is not a no-op in IEEE arithmetic (−0 + +0 = +0, and 0·Inf = NaN), so
+// skipping and adding differ in bits. The remaining rows are taken four at
+// a time so gradIn[j] is read and written once per four rows; the sum
+// gradIn[j] + d0·w0[j] + d1·w1[j] + … still associates left to right in
+// ascending row order, so every element is bit-identical to the
+// row-at-a-time loop.
+func MatVecBackward(gradW, gradIn, w []float64, cols int, d, x []float64) {
+	rows := len(d)
+	if len(x) != cols || len(gradIn) != cols || len(w) != rows*cols || len(gradW) != rows*cols {
+		panic(fmt.Sprintf("tensor: matvec backward shape mismatch w=%d gradW=%d gradIn=%d d=%d x=%d cols=%d", len(w), len(gradW), len(gradIn), rows, len(x), cols))
+	}
+	var live [4]int // the next up-to-four rows with d != 0
+	for r := 0; r < rows; {
+		n := 0
+		for ; r < rows && n < 4; r++ {
+			if d[r] != 0 {
+				live[n] = r
+				n++
+			}
+		}
+		if n < 4 {
+			for _, i := range live[:n] {
+				di := d[i]
+				wi := w[i*cols : (i+1)*cols]
+				gi := gradW[i*cols : (i+1)*cols]
+				for j, xj := range x {
+					gi[j] += di * xj
+					gradIn[j] += di * wi[j]
+				}
+			}
+			return
+		}
+		d0, d1, d2, d3 := d[live[0]], d[live[1]], d[live[2]], d[live[3]]
+		w0 := w[live[0]*cols : (live[0]+1)*cols]
+		w1 := w[live[1]*cols : (live[1]+1)*cols]
+		w2 := w[live[2]*cols : (live[2]+1)*cols]
+		w3 := w[live[3]*cols : (live[3]+1)*cols]
+		g0 := gradW[live[0]*cols : (live[0]+1)*cols]
+		g1 := gradW[live[1]*cols : (live[1]+1)*cols]
+		g2 := gradW[live[2]*cols : (live[2]+1)*cols]
+		g3 := gradW[live[3]*cols : (live[3]+1)*cols]
+		// Re-slicing to len(x) lets the compiler drop the bounds checks
+		// in the loop below.
+		w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+		g0, g1, g2, g3 = g0[:len(x)], g1[:len(x)], g2[:len(x)], g3[:len(x)]
+		for j, xj := range x {
+			g0[j] += d0 * xj
+			g1[j] += d1 * xj
+			g2[j] += d2 * xj
+			g3[j] += d3 * xj
+			gradIn[j] = gradIn[j] + d0*w0[j] + d1*w1[j] + d2*w2[j] + d3*w3[j]
+		}
 	}
 }
