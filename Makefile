@@ -24,9 +24,11 @@ vetbench:
 	$(GO) test ./internal/analysis/ -run '^$$' -bench 'BenchmarkDdlvet' -benchtime 2x -benchmem
 
 # -shuffle=on randomizes test order so inter-test state dependence fails
-# loudly instead of passing by accident.
+# loudly instead of passing by accident. -cover and $(TEST_OUT) let the
+# coverage gate read this run instead of paying for the suite again.
+TEST_OUT ?= test.out
 test:
-	$(GO) test -shuffle=on ./...
+	$(GO) test -shuffle=on -cover ./... >$(TEST_OUT) 2>&1; s=$$?; cat $(TEST_OUT); exit $$s
 
 # Short mode keeps the race pass fast; the full suite runs race-free logic
 # anyway and CI mirrors this target.
@@ -82,9 +84,10 @@ smoke:
 
 # Per-package coverage table with an 80% floor on the serving path and the
 # predictor backends (internal/core, internal/cluster, internal/obs,
-# internal/regress).
+# internal/regress). Standalone it runs the suite itself; under `make
+# verify` it gates on what the `test` step just wrote.
 cover:
-	./scripts/cover.sh
+	./scripts/cover.sh 80 $(COVER_FROM)
 
 # Short fuzz pass over every target: the request decoders behind
 # /v1/predict and /v1/predict/batch, the collector's wire-frame codec, and
@@ -97,4 +100,5 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/regress -run '^$$' -fuzz FuzzLoadRegressor -fuzztime $(FUZZTIME)
 
+verify: COVER_FROM = $(TEST_OUT)
 verify: vet build ddlvet test benchcheck race smoke cover loadbench leaderboard

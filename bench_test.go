@@ -447,7 +447,7 @@ func BenchmarkGHNEmbedResNet50Instrumented(b *testing.B) {
 // BenchmarkGHNEmbedResNet50Reference runs the tape-building training
 // forward pass Embed used before the inference fast path existed; the
 // delta against BenchmarkGHNEmbedResNet50 is the fast path's win
-// (topology cache + pooled arenas + fused embed gather).
+// (pooled arenas + fused embed gather).
 func BenchmarkGHNEmbedResNet50Reference(b *testing.B) {
 	g := ghn.New(ghn.Config{}, tensor.NewRNG(1))
 	gr := graph.MustBuild("resnet50", graph.DefaultConfig())

@@ -35,7 +35,9 @@ const benchEmbedSweeps = 30
 
 type embedVariantResult struct {
 	// Name is reference (tape-building Forward path) or float64 (tape-free
-	// fast path, bit-identical to reference).
+	// fast path, bit-identical to reference). Both rows are cold embeds —
+	// traversal structure built per call — which is what serving pays: the
+	// engine's embedding cache answers every repeat before the GHN is asked.
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -68,22 +70,20 @@ func runBenchEmbed(path string, seed int64) error {
 	g := ghn.New(ghn.DefaultConfig(), tensor.NewRNG(seed))
 
 	graphs := make([]*graph.Graph, len(benchEmbedCorpus))
-	keys := make([]string, len(benchEmbedCorpus))
 	for i, name := range benchEmbedCorpus {
 		gr, err := graph.Build(name, graph.DefaultConfig())
 		if err != nil {
 			return err
 		}
 		graphs[i] = gr
-		keys[i] = gr.Fingerprint()
 	}
 
 	variants := []struct {
 		name string
-		call func(gr *graph.Graph, key string) ([]float64, error)
+		call func(gr *graph.Graph) ([]float64, error)
 	}{
-		{"reference", func(gr *graph.Graph, _ string) ([]float64, error) { return g.EmbedReference(gr) }},
-		{"float64", func(gr *graph.Graph, key string) ([]float64, error) { return g.EmbedKeyed(gr, key, ghn.Float64) }},
+		{"reference", g.EmbedReference},
+		{"float64", g.Embed},
 	}
 
 	rep := embedBenchReport{
@@ -95,7 +95,7 @@ func runBenchEmbed(path string, seed int64) error {
 		Sweeps:      benchEmbedSweeps,
 	}
 	for _, v := range variants {
-		res, err := measureEmbedVariant(v.name, graphs, keys, v.call)
+		res, err := measureEmbedVariant(v.name, graphs, v.call)
 		if err != nil {
 			return fmt.Errorf("variant %s: %w", v.name, err)
 		}
@@ -122,17 +122,17 @@ func runBenchEmbed(path string, seed int64) error {
 	return nil
 }
 
-// measureEmbedVariant runs one warmup sweep (populating the topology cache
-// and scratch pools, as a steady-state server would), then measures
-// benchEmbedSweeps timed sweeps. Per-op latency lands in the same
-// ghn.embed.seconds histogram shape /v1/metrics exposes; allocations are
-// the runtime.MemStats Mallocs delta across the timed region.
-func measureEmbedVariant(name string, graphs []*graph.Graph, keys []string, call func(*graph.Graph, string) ([]float64, error)) (embedVariantResult, error) {
+// measureEmbedVariant runs one warmup sweep (sizing the scratch pool, the
+// only state an embed leaves behind), then measures benchEmbedSweeps timed
+// sweeps. Per-op latency lands in the same ghn.embed.seconds histogram
+// shape /v1/metrics exposes; allocations are the runtime.MemStats Mallocs
+// delta across the timed region.
+func measureEmbedVariant(name string, graphs []*graph.Graph, call func(*graph.Graph) ([]float64, error)) (embedVariantResult, error) {
 	reg := obs.NewRegistry(clock)
 	hist := reg.Histogram("ghn.embed.seconds", obs.LatencyBuckets())
 
-	for i := range graphs {
-		if _, err := call(graphs[i], keys[i]); err != nil {
+	for _, gr := range graphs {
+		if _, err := call(gr); err != nil {
 			return embedVariantResult{}, err
 		}
 	}
@@ -143,9 +143,9 @@ func measureEmbedVariant(name string, graphs []*graph.Graph, keys []string, call
 	start := clock.Now()
 	ops := 0
 	for sweep := 0; sweep < benchEmbedSweeps; sweep++ {
-		for i := range graphs {
+		for _, gr := range graphs {
 			t0 := clock.Now()
-			if _, err := call(graphs[i], keys[i]); err != nil {
+			if _, err := call(gr); err != nil {
 				return embedVariantResult{}, err
 			}
 			hist.ObserveDuration(obs.Since(clock, t0))

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"predictddl/internal/cluster"
+	"predictddl/internal/graph"
+	"predictddl/internal/tensor"
 )
 
 // untrainedController wraps an untrained engine: the Task Checker and
@@ -175,6 +178,73 @@ func TestBatchItemCodes(t *testing.T) {
 		}
 		if item.Code != want[i] {
 			t.Errorf("item %d: code = %d, want %d (error %q)", i, item.Code, want[i], item.Error)
+		}
+	}
+}
+
+// /v1/predict and a one-item /v1/predict/batch run the same predictOne
+// body: a good request must come back with the same predicted_seconds bits,
+// and every Task Checker failure class with the same code and message.
+func TestPredictAndBatchItemParity(t *testing.T) {
+	ctrl := NewController(NewGHNRegistry(), cheapEngine(t))
+	col, err := cluster.NewCollector("127.0.0.1:0", cluster.CollectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	ctrl.SetCollector(col) // attached but empty
+	srv := httptest.NewServer(ctrl.Handler())
+	defer srv.Close()
+
+	cases := []struct {
+		req  PredictRequest
+		want int
+	}{
+		{PredictRequest{Dataset: "cifar10", Model: "resnet18", NumServers: 4}, http.StatusOK},
+		{PredictRequest{Dataset: "cifar10", Graph: graph.RandomGraph(tensor.NewRNG(77), graph.DefaultConfig()).Spec(), NumServers: 2}, http.StatusOK},
+		{PredictRequest{Dataset: "cifar10", Graph: tinyGraph(t, 3).Spec(), NumServers: 2}, http.StatusBadRequest}, // conv has no consumer
+		{PredictRequest{Dataset: "cifar10", Model: "not-a-model", NumServers: 1}, http.StatusBadRequest},
+		{PredictRequest{Dataset: "nope", Model: "resnet18", NumServers: 1}, http.StatusNotFound},
+		{PredictRequest{Dataset: "cifar10", Model: "resnet18"}, http.StatusServiceUnavailable},
+	}
+	for i, tc := range cases {
+		body, _ := json.Marshal(tc.req)
+		resp := postJSON(t, srv.URL+"/v1/predict", body)
+		var single struct {
+			PredictResponse
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&single); err != nil {
+			t.Fatalf("case %d: /v1/predict body: %v", i, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("case %d: /v1/predict = %d, want %d (%s)", i, resp.StatusCode, tc.want, single.Error)
+		}
+
+		body, _ = json.Marshal(BatchRequest{Requests: []PredictRequest{tc.req}})
+		resp = postJSON(t, srv.URL+"/v1/predict/batch", body)
+		var br BatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || len(br.Results) != 1 {
+			t.Fatalf("case %d: batch body: %v (%d results)", i, err, len(br.Results))
+		}
+		resp.Body.Close()
+		item := br.Results[0]
+
+		if tc.want == http.StatusOK {
+			if item.Code != 0 || item.Error != "" {
+				t.Fatalf("case %d: batch item failed: %d %q", i, item.Code, item.Error)
+			}
+			if item.PredictResponse != single.PredictResponse {
+				t.Errorf("case %d: batch item %+v != single %+v", i, item.PredictResponse, single.PredictResponse)
+			}
+			if math.Float64bits(item.PredictedSeconds) != math.Float64bits(single.PredictedSeconds) || item.PredictedSeconds <= 0 {
+				t.Errorf("case %d: predicted_seconds bits differ: batch %v, single %v", i, item.PredictedSeconds, single.PredictedSeconds)
+			}
+			continue
+		}
+		if item.Code != tc.want || item.Error != single.Error || item.Error == "" {
+			t.Errorf("case %d: batch item (%d, %q) != single (%d, %q)", i, item.Code, item.Error, resp.StatusCode, single.Error)
 		}
 	}
 }

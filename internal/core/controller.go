@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"predictddl/internal/cluster"
 	"predictddl/internal/dataset"
@@ -61,10 +59,12 @@ type Controller struct {
 
 	// metrics is the observability registry (never nil; see metrics.go),
 	// traceLog optionally receives server-side trace lines; both guarded by
-	// mu. ids mints request IDs for clients that send none.
-	metrics  *obs.Registry //ddlvet:guardedby mu
-	traceLog *log.Logger   //ddlvet:guardedby mu
-	ids      *obs.IDSource
+	// mu. mw is the request middleware Handler mounts and batchSize the
+	// http.batch.size handle, both reading metrics through Metrics.
+	metrics   *obs.Registry //ddlvet:guardedby mu
+	traceLog  *log.Logger   //ddlvet:guardedby mu
+	mw        *obs.Middleware
+	batchSize *obs.Handles[*obs.Histogram]
 }
 
 // NewController returns a controller serving the given engines with the
@@ -76,8 +76,11 @@ func NewController(registry *GHNRegistry, engines ...*InferenceEngine) *Controll
 		maxBodyBytes:  DefaultMaxBodyBytes,
 		maxBatchItems: DefaultMaxBatchItems,
 		metrics:       obs.NewRegistry(nil),
-		ids:           obs.NewIDSource("req"),
+		batchSize: &obs.Handles[*obs.Histogram]{Resolve: func(r *obs.Registry) *obs.Histogram {
+			return r.Histogram("http.batch.size", obs.SizeBuckets(DefaultMaxBatchItems))
+		}},
 	}
+	c.mw = &obs.Middleware{Registry: c.Metrics, IDs: obs.NewIDSource("req"), TraceLog: c.traceLogger}
 	for _, e := range engines {
 		c.engines[e.Dataset()] = e
 		e.Instrument(c.metrics)
@@ -240,17 +243,17 @@ func (c *Controller) checkRequest(req PredictRequest) (*InferenceEngine, *graph.
 }
 
 // Handler returns the HTTP mux implementing the controller API. Every
-// endpoint runs behind the observability middleware (metrics.go); the
+// endpoint runs behind the observability middleware (obs.Middleware); the
 // introspection endpoints /v1/metrics and /debug/vars are served raw so
 // scraping them does not perturb the request counters they report.
 func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/predict", c.instrument("predict", c.shed("predict", c.handlePredict)))
-	mux.HandleFunc("/v1/predict/batch", c.instrument("batch", c.shed("batch", c.handleBatch)))
-	mux.HandleFunc("/v1/batch", c.instrument("batch", c.shed("batch", c.handleBatch))) // legacy alias
-	mux.HandleFunc("/v1/status", c.instrument("status", c.handleStatus))
-	mux.HandleFunc("/v1/models", c.instrument("models", c.handleModels))
-	mux.HandleFunc("/v1/inventory", c.instrument("inventory", c.handleInventory))
+	mux.HandleFunc("/v1/predict", c.mw.Wrap("predict", c.shed("predict", c.handlePredict)))
+	mux.HandleFunc("/v1/predict/batch", c.mw.Wrap("batch", c.shed("batch", c.handleBatch)))
+	mux.HandleFunc("/v1/batch", c.mw.Wrap("batch", c.shed("batch", c.handleBatch))) // legacy alias
+	mux.HandleFunc("/v1/status", c.mw.Wrap("status", c.handleStatus))
+	mux.HandleFunc("/v1/models", c.mw.Wrap("models", c.handleModels))
+	mux.HandleFunc("/v1/inventory", c.mw.Wrap("inventory", c.handleInventory))
 	mux.HandleFunc("/v1/metrics", c.handleMetrics)
 	mux.HandleFunc("/debug/vars", c.handleVars)
 	return mux
@@ -280,59 +283,52 @@ type BatchResponse struct {
 	Trace *obs.TraceReport `json:"trace,omitempty"`
 }
 
-func (c *Controller) handleBatch(w http.ResponseWriter, r *http.Request) {
-	tr := traceFrom(r)
+// admit is the front of both prediction handlers: POST only, the body
+// capped at maxBody and decoded into v under the trace's "decode" stage. It
+// writes the refusal and reports false when the request goes no further.
+func admit(w http.ResponseWriter, r *http.Request, tr *obs.Trace, maxBody int64, v any) bool {
 	if r.Method != http.MethodPost {
 		obs.HTTPError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+		return false
 	}
-	maxBody, maxItems := c.limits()
-	var req BatchRequest
 	stop := tr.Stage("decode")
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req)
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
 	stop()
 	if err != nil {
-		obs.HTTPError(w, decodeStatus(err), "invalid JSON: "+err.Error())
+		obs.HTTPError(w, DecodeStatus(err), "invalid JSON: "+err.Error())
+		return false
+	}
+	return true
+}
+
+func (c *Controller) handleBatch(w http.ResponseWriter, r *http.Request) {
+	tr := obs.TraceFrom(r)
+	maxBody, maxItems := c.limits()
+	var req BatchRequest
+	if !admit(w, r, tr, maxBody, &req) {
 		return
 	}
-	if len(req.Requests) == 0 {
-		obs.HTTPError(w, http.StatusBadRequest, "empty batch")
+	n := len(req.Requests)
+	if n > 0 {
+		// Record every non-empty batch's size — including over-limit ones, which
+		// land in the overflow bucket and show operators who is hitting the cap.
+		c.batchSize.Get(c.Metrics()).Observe(float64(n))
+	}
+	if RejectBatch(w, n, maxItems) {
 		return
 	}
-	// Record every admitted batch's size — including over-limit ones, which
-	// land in the overflow bucket and show operators who is hitting the cap.
-	c.Metrics().Histogram("http.batch.size", obs.SizeBuckets(DefaultMaxBatchItems)).
-		Observe(float64(len(req.Requests)))
-	if len(req.Requests) > maxItems {
-		obs.HTTPError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds the %d-item limit; split the request", len(req.Requests), maxItems))
-		return
-	}
-	resp := BatchResponse{Results: make([]BatchItem, len(req.Requests))}
-	// Fan the batch out across a worker pool: items are independent (graph
-	// building and GHN embedding dominate) and each worker writes only its
-	// own result slots, so the response stays index-aligned and race-free.
-	stop = tr.Stage("fanout")
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(req.Requests) {
-		workers = len(req.Requests)
-	}
-	var next int32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt32(&next, 1)) - 1
-				if i >= len(req.Requests) {
-					return
-				}
-				c.predictOne(req.Requests[i], &resp.Results[i])
-			}
-		}()
-	}
-	wg.Wait()
+	resp := BatchResponse{Results: make([]BatchItem, n)}
+	// Items are independent (graph building and GHN embedding dominate) and
+	// each worker writes only its own result slot, so the response stays
+	// index-aligned and race-free.
+	stop := tr.Stage("fanout")
+	parallelEach(n, func(i int) {
+		item := &resp.Results[i]
+		var err error
+		if item.PredictResponse, item.Code, err = c.predictOne(req.Requests[i], nil); err != nil {
+			item.Error = err.Error()
+		}
+	})
 	stop()
 	if tr != nil {
 		rep := tr.Report()
@@ -341,68 +337,45 @@ func (c *Controller) handleBatch(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, resp)
 }
 
-// predictOne resolves and predicts a single batch item.
-func (c *Controller) predictOne(pr PredictRequest, item *BatchItem) {
+// predictOne is the one predict body — Task Checker, then the engine —
+// behind /v1/predict and every batch item. A failure returns the error and
+// the status it maps to; success leaves the code zero (a batch item omits
+// it). tr may be nil.
+func (c *Controller) predictOne(pr PredictRequest, tr *obs.Trace) (resp PredictResponse, code int, err error) {
+	stop := tr.Stage("check")
 	engine, g, cl, err := c.checkRequest(pr)
+	stop()
 	if err != nil {
-		item.Error, item.Code = err.Error(), checkStatus(err)
-		return
+		return resp, checkStatus(err), err
 	}
-	secs, err := engine.Predict(g, cl)
+	secs, err := engine.PredictTraced(g, cl, tr)
 	if err != nil {
-		item.Error, item.Code = err.Error(), http.StatusInternalServerError
-		return
+		return resp, http.StatusInternalServerError, err
 	}
 	model := pr.Model
 	if model == "" {
 		model = g.Name
 	}
-	item.PredictResponse = PredictResponse{
+	return PredictResponse{
 		Dataset:          pr.Dataset,
 		Model:            model,
 		NumServers:       cl.Size(),
 		PredictedSeconds: secs,
 		Regressor:        engine.ModelName(),
-	}
+	}, 0, nil
 }
 
 func (c *Controller) handlePredict(w http.ResponseWriter, r *http.Request) {
-	tr := traceFrom(r) // nil (and a no-op) unless the request set ?trace=1
-	if r.Method != http.MethodPost {
-		obs.HTTPError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
+	tr := obs.TraceFrom(r) // nil (and a no-op) unless the request set ?trace=1
 	maxBody, _ := c.limits()
 	var req PredictRequest
-	stop := tr.Stage("decode")
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req)
-	stop()
-	if err != nil {
-		obs.HTTPError(w, decodeStatus(err), "invalid JSON: "+err.Error())
+	if !admit(w, r, tr, maxBody, &req) {
 		return
 	}
-	stop = tr.Stage("check")
-	engine, g, cl, err := c.checkRequest(req)
-	stop()
+	resp, code, err := c.predictOne(req, tr)
 	if err != nil {
-		obs.HTTPError(w, checkStatus(err), err.Error())
+		obs.HTTPError(w, code, err.Error())
 		return
-	}
-	secs, err := engine.PredictTraced(g, cl, tr)
-	if err != nil {
-		obs.HTTPError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	model := req.Model
-	if model == "" {
-		model = g.Name
-	}
-	resp := PredictResponse{
-		Dataset:          req.Dataset,
-		Model:            model,
-		NumServers:       cl.Size(),
-		PredictedSeconds: secs,
-		Regressor:        engine.ModelName(),
 	}
 	if tr != nil {
 		rep := tr.Report()
@@ -493,12 +466,29 @@ func checkStatus(err error) int {
 	}
 }
 
-// decodeStatus distinguishes an over-limit body (413, the MaxBytesReader
-// tripped) from malformed JSON (400).
-func decodeStatus(err error) int {
+// DecodeStatus distinguishes an over-limit body (413, the MaxBytesReader
+// tripped) from malformed JSON (400). The gateway's front door shares it.
+func DecodeStatus(err error) int {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
+}
+
+// RejectBatch is batch admission, shared with the gateway so both front
+// doors refuse the same batches in the same words: an empty batch is 400,
+// one of more than maxItems requests is 413. It writes the refusal and
+// reports whether there was one.
+func RejectBatch(w http.ResponseWriter, n, maxItems int) bool {
+	switch {
+	case n == 0:
+		obs.HTTPError(w, http.StatusBadRequest, "empty batch")
+	case n > maxItems:
+		obs.HTTPError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch of %d exceeds the %d-item limit; split the request", n, maxItems))
+	default:
+		return false
+	}
+	return true
 }

@@ -138,9 +138,7 @@ func (e *InferenceEngine) embedding(g *graph.Graph, key string) ([]float64, erro
 		return cached, nil
 	}
 	misses.Inc()
-	// The fingerprint is already in hand, so take the keyed fast path: the
-	// GHN reuses it for its topology cache instead of hashing again.
-	emb, err := e.ghn.EmbedKeyed(g, key, ghn.Float64)
+	emb, err := e.ghn.Embed(g)
 	if err != nil {
 		return nil, err
 	}
@@ -150,6 +148,33 @@ func (e *InferenceEngine) embedding(g *graph.Graph, key string) ([]float64, erro
 	emb = e.cache.put(key, emb)
 	e.mu.Unlock()
 	return emb, nil
+}
+
+// parallelEach runs fn(i) for every i in [0, n) on min(GOMAXPROCS, n)
+// goroutines and returns once all calls have. Workers claim indices from a
+// shared counter, so uneven items balance; fn must confine its writes to
+// slot i.
+func parallelEach(n int, fn func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // EmbedAll returns the embedding of every graph, index-aligned with the
@@ -228,27 +253,10 @@ func (e *InferenceEngine) embedEach(graphs []*graph.Graph) (out [][]float64, err
 		return out, errs
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(misses) {
-		workers = len(misses)
-	}
-	var next int32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt32(&next, 1)) - 1
-				if i >= len(misses) {
-					return
-				}
-				m := &misses[i]
-				m.emb, m.err = e.ghn.EmbedKeyed(m.g, m.key, ghn.Float64)
-			}
-		}()
-	}
-	wg.Wait()
+	parallelEach(len(misses), func(i int) {
+		m := &misses[i]
+		m.emb, m.err = e.ghn.Embed(m.g)
+	})
 	e.mu.Lock()
 	for i := range misses {
 		if m := &misses[i]; m.err == nil {

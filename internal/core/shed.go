@@ -110,15 +110,18 @@ func (c *Controller) shedLimiter() *InflightLimiter {
 }
 
 // shed wraps a prediction handler with the inflight cap. It runs inside
-// the instrument middleware, so shed 503s land in the same
+// the request middleware, so shed 503s land in the same
 // http.requests.<endpoint>.503 counter and latency histogram as every
 // other response; http.shed.<endpoint> additionally counts them so
 // operators can tell shed 503s from degraded-inventory 503s at a glance.
 func (c *Controller) shed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	shedCount := &obs.Handles[*obs.Counter]{Resolve: func(r *obs.Registry) *obs.Counter {
+		return r.Counter("http.shed." + endpoint)
+	}}
 	return func(w http.ResponseWriter, r *http.Request) {
 		lim := c.shedLimiter()
 		if !lim.TryAcquire() {
-			c.Metrics().Counter("http.shed." + endpoint).Inc()
+			shedCount.Get(c.Metrics()).Inc()
 			WriteShed(w, "server saturated: inflight request cap reached; retry shortly")
 			return
 		}

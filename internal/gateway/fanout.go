@@ -3,7 +3,6 @@ package gateway
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -17,27 +16,11 @@ import (
 // items while the rest of the batch succeeds, and the whole request stays
 // 200 whenever the batch itself was admissible.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		obs.HTTPError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.opts.MaxBodyBytes))
-	if err != nil {
-		obs.HTTPError(w, readStatus(err), "invalid request body: "+err.Error())
-		return
-	}
 	var req core.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		obs.HTTPError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if _, ok := g.admit(w, r, &req); !ok {
 		return
 	}
-	if len(req.Requests) == 0 {
-		obs.HTTPError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Requests) > g.opts.MaxBatchItems {
-		obs.HTTPError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds the %d-item limit; split the request", len(req.Requests), g.opts.MaxBatchItems))
+	if core.RejectBatch(w, len(req.Requests), g.opts.MaxBatchItems) {
 		return
 	}
 

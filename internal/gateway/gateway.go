@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -105,7 +104,7 @@ type Gateway struct {
 	opts   Options
 	ring   *Ring
 	health *health
-	ids    *obs.IDSource
+	mw     *obs.Middleware
 
 	// Per-shard state, keyed by replica URL. Immutable maps after New;
 	// the limiter and counters are internally synchronized.
@@ -142,7 +141,7 @@ func New(opts Options) (*Gateway, error) {
 		opts:     opts,
 		ring:     ring,
 		health:   newHealth(members, opts.Client, opts.HealthTimeout, backoff, time.Now),
-		ids:      obs.NewIDSource("gwreq"),
+		mw:       &obs.Middleware{Registry: func() *obs.Registry { return opts.Obs }, IDs: obs.NewIDSource("gwreq")},
 		limiters: make(map[string]*core.InflightLimiter, len(members)),
 		labels:   shardLabels(members),
 
@@ -234,51 +233,18 @@ func (g *Gateway) Run(ctx context.Context) {
 }
 
 // Handler returns the gateway HTTP mux. The prediction endpoints mirror
-// the controller API — same paths, same metric names (http.requests.*,
-// http.latency.*) — so clients and load tools target a gateway and a bare
+// the controller API — same paths, and behind the same obs.Middleware the
+// same metric names (http.requests.*, http.latency.*) and request-ID
+// contract — so clients and load tools target a gateway and a bare
 // controller interchangeably.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/predict", g.instrument("predict", g.handlePredict))
-	mux.HandleFunc("/v1/predict/batch", g.instrument("batch", g.handleBatch))
-	mux.HandleFunc("/v1/batch", g.instrument("batch", g.handleBatch)) // legacy alias
-	mux.HandleFunc("/v1/status", g.instrument("status", g.handleStatus))
-	mux.HandleFunc("/v1/models", g.instrument("models", g.handleModels))
-	mux.HandleFunc("/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		obs.Handler(g.opts.Obs).ServeHTTP(w, r)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		obs.TextHandler(g.opts.Obs).ServeHTTP(w, r)
-	})
+	mux.HandleFunc("/v1/predict", g.mw.Wrap("predict", g.handlePredict))
+	mux.HandleFunc("/v1/predict/batch", g.mw.Wrap("batch", g.handleBatch))
+	mux.HandleFunc("/v1/batch", g.mw.Wrap("batch", g.handleBatch)) // legacy alias
+	mux.HandleFunc("/v1/status", g.mw.Wrap("status", g.handleStatus))
+	mux.HandleFunc("/v1/models", g.mw.Wrap("models", g.handleModels))
+	mux.Handle("/v1/metrics", obs.Handler(g.opts.Obs))
+	mux.Handle("/debug/vars", obs.TextHandler(g.opts.Obs))
 	return mux
-}
-
-// instrument is the gateway's request middleware: request-ID propagation,
-// inflight gauge, and the same per-status counter / latency histogram
-// contract the controller exposes.
-func (g *Gateway) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	latencyName := "http.latency." + endpoint + ".seconds"
-	counterPrefix := "http.requests." + endpoint + "."
-	return func(w http.ResponseWriter, r *http.Request) {
-		reg := g.opts.Obs
-		clock := reg.Clock()
-		start := clock.Now()
-		inflight := reg.Gauge("http.inflight")
-		inflight.Inc()
-		defer inflight.Dec()
-
-		id := obs.SanitizeRequestID(r.Header.Get(obs.RequestIDHeader))
-		if id == "" {
-			id = g.ids.Next()
-		}
-		w.Header().Set(obs.RequestIDHeader, id)
-		r.Header.Set(obs.RequestIDHeader, id) // forwarded to the shard
-
-		rec := &obs.StatusRecorder{ResponseWriter: w}
-		h(rec, r)
-
-		code := rec.Code()
-		reg.Counter(counterPrefix + strconv.Itoa(code)).Inc()
-		reg.Histogram(latencyName, nil).Observe(obs.Since(clock, start).Seconds())
-	}
 }

@@ -3,7 +3,6 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -101,24 +100,36 @@ func (g *Gateway) forwardOnce(r *http.Request, replica, path, rawQuery string, b
 	return res
 }
 
+// admit is the front door of both prediction handlers: POST only, the body
+// read whole under the admission cap (it is forwarded verbatim) and decoded
+// into v. It writes the refusal and reports false when the request goes no
+// further.
+func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, v any) (body []byte, ok bool) {
+	if r.Method != http.MethodPost {
+		obs.HTTPError(w, http.StatusMethodNotAllowed, "POST required")
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.opts.MaxBodyBytes))
+	if err != nil {
+		obs.HTTPError(w, core.DecodeStatus(err), "invalid request body: "+err.Error())
+		return nil, false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		obs.HTTPError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		return nil, false
+	}
+	return body, true
+}
+
 // handlePredict routes one prediction to its dataset's shard, walking the
 // failover chain when the owner is dark. A 404 from a live replica passes
 // through untouched (the dataset truly is unknown); only when every
 // candidate is unreachable does the gateway answer its own 503 — degraded,
 // not overloaded, so no Retry-After.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		obs.HTTPError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.opts.MaxBodyBytes))
-	if err != nil {
-		obs.HTTPError(w, readStatus(err), "invalid request body: "+err.Error())
-		return
-	}
 	var req core.PredictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		obs.HTTPError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	body, ok := g.admit(w, r, &req)
+	if !ok {
 		return
 	}
 
@@ -210,14 +221,4 @@ func writeDegraded(w http.ResponseWriter, dataset string) {
 		msg = fmt.Sprintf("degraded: no live replica for dataset %q", dataset)
 	}
 	obs.HTTPError(w, http.StatusServiceUnavailable, msg)
-}
-
-// readStatus maps a body-read failure: over the admission cap → 413,
-// anything else → 400.
-func readStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }

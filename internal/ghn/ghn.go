@@ -113,12 +113,8 @@ type GHN struct {
 	// Callers must treat it as read-only.
 	ones []float64
 
-	// Inference fast path (infer.go): a pool of scratch arenas and the
-	// fingerprint-keyed topology cache.
-	pool     sync.Pool
-	topoMu   sync.Mutex
-	topo     map[string]*topoInfo //ddlvet:guardedby topoMu
-	topoFIFO []string             //ddlvet:guardedby topoMu
+	// pool holds the inference fast path's scratch arenas (infer.go).
+	pool sync.Pool
 
 	// metrics holds optional observability hooks (nil when uninstrumented);
 	// the hot path pays one atomic load to check.
@@ -147,7 +143,7 @@ func New(cfg Config, rng *tensor.RNG) *GHN {
 	for i := range g.ones {
 		g.ones[i] = 1
 	}
-	g.initInfer()
+	g.pool.New = func() any { return newInferScratch(d, cfg.EmbedDim) }
 	return g
 }
 
@@ -223,9 +219,7 @@ type tapeGraph struct {
 	graphT []float64
 }
 
-// newTapeGraph computes gr's traversal structure and node features. It
-// bypasses the fingerprint-keyed topology cache: training graphs are held
-// by Train for its whole run and would only evict serving entries.
+// newTapeGraph computes gr's traversal structure and node features.
 func (g *GHN) newTapeGraph(gr *graph.Graph) (*tapeGraph, error) {
 	tp, err := g.buildTopology(gr)
 	if err != nil {
@@ -369,7 +363,14 @@ func (g *GHN) gainRow(op graph.OpType) []float64 {
 // the training forward pass; EmbedReference keeps the original
 // tape-building route as the equivalence oracle.
 func (g *GHN) Embed(gr *graph.Graph) ([]float64, error) {
-	return g.EmbedKeyed(gr, gr.Fingerprint(), Float64)
+	if m := g.metrics.Load(); m != nil && m.EmbedSeconds != nil {
+		defer m.EmbedSeconds.Time(m.clock())()
+	}
+	tp, err := g.buildTopology(gr)
+	if err != nil {
+		return nil, err
+	}
+	return g.embedOn(gr, tp), nil
 }
 
 // EmbedReference computes the embedding through the training forward pass

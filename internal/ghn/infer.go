@@ -2,10 +2,9 @@
 // forward traversal for serving. The tape path (forward/sweep in ghn.go)
 // records a backprop tape — per-edge MLPCaches, per-update GRUCaches,
 // message vectors — that only Train needs. This path writes into pooled
-// scratch arenas, reads the traversal structure from the fingerprint-keyed
-// topology cache (topo.go), and fuses the N one-hot embedding Forward
-// calls into a strided gather, so steady-state Embed allocates nothing but
-// the result slice.
+// scratch arenas and fuses the N one-hot embedding Forward calls into a
+// strided gather, so beyond the graph's traversal structure (topo.go) an
+// Embed allocates nothing but the result slice.
 //
 // It reads the live parameters, runs the same nn/tensor kernels as the
 // tape path and is bit-identical to it (the floatorder determinism
@@ -24,8 +23,8 @@ import (
 
 // Precision is a one-value shim: float64 is the only inference precision
 // (DESIGN.md §10, "Removed: float32 route"). The type, its constant and
-// EmbedKeyed's third parameter stay only because bench/trace.go, which is
-// frozen between benchmark PRs, calls EmbedKeyed(g, fp, ghn.Float64).
+// EmbedKeyed stay only because bench/trace.go, which is frozen between
+// benchmark PRs, calls EmbedKeyed(g, fp, ghn.Float64).
 type Precision uint8
 
 // Float64 is the only precision; see Precision.
@@ -70,36 +69,26 @@ func (sc *inferScratch) ensureNodes(n, d int) {
 	sc.h = sc.h[:n*d]
 }
 
-// initInfer wires the fast-path state; called once from New.
-func (g *GHN) initInfer() {
-	d, ed := g.cfg.HiddenDim, g.cfg.EmbedDim
-	g.pool.New = func() any { return newInferScratch(d, ed) }
-	g.topoMu.Lock()
-	g.topo = make(map[string]*topoInfo)
-	g.topoMu.Unlock()
-}
-
-// EmbedKeyed is Embed with the graph's content fingerprint already
-// computed (the engine hashes once per request and passes the key down).
-// key must equal gr.Fingerprint(); a wrong key would poison the topology
-// cache for other graphs sharing it. p must be Float64 (see Precision).
+// EmbedKeyed is Embed behind the signature bench/trace.go compiles against
+// (see Precision): key is ignored — the GHN keeps nothing keyed by it any
+// more — and p must be Float64. Drop it with Precision in the next
+// benchmark PR; new callers use Embed.
 func (g *GHN) EmbedKeyed(gr *graph.Graph, key string, p Precision) ([]float64, error) {
-	if m := g.metrics.Load(); m != nil && m.EmbedSeconds != nil {
-		defer m.EmbedSeconds.Time(m.clock())()
-	}
 	if p != Float64 {
 		return nil, fmt.Errorf("ghn: unknown precision %d", p)
 	}
-	tp, err := g.topology(gr, key)
-	if err != nil {
-		return nil, err
-	}
+	return g.Embed(gr)
+}
+
+// embedOn embeds gr over its built topology on a pooled arena, copying the
+// result out before the arena goes back (the ownership rule above).
+func (g *GHN) embedOn(gr *graph.Graph, tp *topoInfo) []float64 {
 	sc := g.pool.Get().(*inferScratch)
 	res := g.embedFast(sc, gr, tp)
 	out := make([]float64, len(res))
 	copy(out, res)
 	g.pool.Put(sc)
-	return out, nil
+	return out
 }
 
 // embedFast runs the full tape-free embed on one scratch arena and returns

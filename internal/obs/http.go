@@ -1,15 +1,163 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
-// StatusRecorder captures the status code a handler writes so a request
+// Handles memoises metric handles resolved from a Registry, so a request
+// path pays one atomic load where it used to pay a name concatenation and a
+// registry lock per metric. The owner passes its current registry to Get;
+// Resolve runs again only when that registry changes (a controller's
+// SetMetricsRegistry). Concurrent first calls may each resolve: registry
+// lookups are get-or-create, so they end up holding the same metrics.
+type Handles[T any] struct {
+	Resolve func(*Registry) T
+	cur     atomic.Pointer[resolved[T]]
+}
+
+type resolved[T any] struct {
+	reg *Registry
+	v   T
+}
+
+// Get returns the handles resolved against reg.
+func (h *Handles[T]) Get(reg *Registry) T {
+	if c := h.cur.Load(); c != nil && c.reg == reg {
+		return c.v
+	}
+	c := &resolved[T]{reg: reg, v: h.Resolve(reg)}
+	h.cur.Store(c)
+	return c.v
+}
+
+// Middleware is the request middleware the controller and the gateway both
+// mount (DESIGN.md §9): request-ID propagation, the in-flight gauge,
+// per-status request counters, a latency histogram, and — when the client
+// opts in with ?trace=1 — a stage-timed request trace handlers pick up with
+// TraceFrom. Metric names are stable API:
+//
+//	http.requests.<endpoint>.<status>  counter, one per endpoint × status
+//	http.latency.<endpoint>.seconds    histogram, LatencyBuckets
+//	http.inflight                      gauge, requests between accept and reply
+type Middleware struct {
+	// Registry returns the registry requests report into. It is called once
+	// per request, so the owner may swap registries while mounted.
+	Registry func() *Registry
+	// IDs mints request IDs for clients that send none.
+	IDs *IDSource
+	// TraceLog, when set, returns the logger receiving a server-side copy of
+	// every trace report; a nil logger disables the copy.
+	TraceLog func() *log.Logger
+}
+
+// endpointHandles are one endpoint's metrics on one registry. Status
+// counters are resolved on first sight of a code, so a registry only ever
+// lists the codes an endpoint actually answered.
+type endpointHandles struct {
+	reg      *Registry
+	prefix   string // "http.requests.<endpoint>."
+	inflight *Gauge
+	latency  *Histogram
+	codes    atomic.Pointer[[]codeCounter]
+}
+
+type codeCounter struct {
+	code int
+	n    *Counter
+}
+
+func (e *endpointHandles) requests(code int) *Counter {
+	var seen []codeCounter
+	if p := e.codes.Load(); p != nil {
+		seen = *p
+	}
+	for _, cc := range seen {
+		if cc.code == code {
+			return cc.n
+		}
+	}
+	n := e.reg.Counter(e.prefix + strconv.Itoa(code))
+	// Copy-on-write: a racing first sight of another code may drop this
+	// entry, and the next request re-resolves it to the same counter.
+	next := append(seen[:len(seen):len(seen)], codeCounter{code, n})
+	e.codes.Store(&next)
+	return n
+}
+
+// Wrap returns h behind the middleware, reporting under endpoint.
+//
+// With a fake-clock registry the middleware consumes exactly two clock
+// reads per untraced request (start and stop), so scripted tests can
+// assert exact latency bucket counts.
+func (m *Middleware) Wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	handles := &Handles[*endpointHandles]{Resolve: func(reg *Registry) *endpointHandles {
+		return &endpointHandles{
+			reg:      reg,
+			prefix:   "http.requests." + endpoint + ".",
+			inflight: reg.Gauge("http.inflight"),
+			latency:  reg.Histogram("http.latency."+endpoint+".seconds", nil),
+		}
+	}}
+	return func(w http.ResponseWriter, r *http.Request) {
+		reg := m.Registry()
+		clock := reg.Clock()
+		start := clock.Now()
+		eh := handles.Get(reg)
+		eh.inflight.Inc()
+		defer eh.inflight.Dec()
+
+		// Propagate the client's request ID when it is well-formed; mint one
+		// otherwise, replacing it on the request too so a handler that
+		// forwards the request (the gateway) sends its shard the same ID. The
+		// ID is always echoed so clients can correlate.
+		id := SanitizeRequestID(r.Header.Get(RequestIDHeader))
+		if id == "" {
+			id = m.IDs.Next()
+			r.Header.Set(RequestIDHeader, id)
+		}
+		w.Header().Set(RequestIDHeader, id)
+
+		var tr *Trace
+		if r.URL.Query().Get("trace") == "1" {
+			tr = NewTrace(id, clock)
+			r = r.WithContext(context.WithValue(r.Context(), traceCtxKey{}, tr))
+		}
+
+		rec := &StatusRecorder{ResponseWriter: w}
+		h(rec, r)
+
+		code := rec.Code()
+		eh.requests(code).Inc()
+		eh.latency.Observe(Since(clock, start).Seconds())
+		if tr != nil && m.TraceLog != nil {
+			if l := m.TraceLog(); l != nil {
+				l.Printf("%s %s -> %d %s", r.Method, endpoint, code, tr.Report())
+			}
+		}
+	}
+}
+
+// traceCtxKey keys the per-request *Trace in the request context.
+type traceCtxKey struct{}
+
+// TraceFrom returns the trace the middleware attached to r, or nil when the
+// request is untraced — every *Trace method is nil-safe, so handlers use
+// the result unconditionally.
+func TraceFrom(r *http.Request) *Trace {
+	tr, _ := r.Context().Value(traceCtxKey{}).(*Trace)
+	return tr
+}
+
+// StatusRecorder captures the status code a handler writes so the
 // middleware can label its per-status counter.
 type StatusRecorder struct {
 	http.ResponseWriter
