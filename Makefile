@@ -52,9 +52,10 @@ bench: vetbench
 # in-process synthetic controller, drives seeded open-loop (Poisson) and
 # closed-loop runs over the mixed scenario blend, searches for the max
 # sustained RPS inside the p99 SLO, measures allocs/op on the warm predict
-# path, and writes BENCH_serve.json. The run then gates against the
-# committed baseline: >15% p99 regression (beyond a 2 ms noise floor) or a
-# newly saturated histogram fails the target.
+# path, and writes BENCH_serve.json. A run in which any response breaks its
+# scenario's status contract fails the target. The run then gates against
+# the committed baseline: >15% p99 regression (beyond a 2 ms noise floor) or
+# a newly saturated histogram fails the target.
 loadbench:
 	$(GO) run ./cmd/ddlload -self -seed 1 -rps 150 -duration 3s \
 		-closed-requests 300 -concurrency 8 -trial-duration 800ms \

@@ -221,7 +221,7 @@ func ablationRelErr(b *testing.B, g *ghn.GHN) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x, y, err := core.DesignMatrix(g, points, d.GraphConfig())
+	x, y, _, err := core.DesignMatrixWithEmbeddings(g, points, d.GraphConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func BenchmarkAblationPolyDegree(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	xFull, y, err := core.DesignMatrix(g, points, d.GraphConfig())
+	xFull, y, _, err := core.DesignMatrixWithEmbeddings(g, points, d.GraphConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func BenchmarkAblationClusterNorm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x, y, err := core.DesignMatrix(g, points, d.GraphConfig())
+	x, y, _, err := core.DesignMatrixWithEmbeddings(g, points, d.GraphConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,6 +24,10 @@
 // shard, rebalances, fan-out latency). The run fails if traffic reached
 // fewer than two shards.
 //
+// An open or closed run in which any response breaks its scenario's status
+// contract (a 500 where a 200, 404 or 413 was due, or a transport error)
+// fails the invocation, as does a client/server counter mismatch.
+//
 // With -baseline the run ends with the regression gate: a >15% p99
 // regression (tunable via -max-p99-regress, modulo -noise-floor) against
 // the committed baseline exits non-zero — the check `make loadbench` runs
@@ -167,6 +171,9 @@ func run(args []string) error {
 		return err
 	}
 	printRun(rep.Open)
+	if err := contractHeld(rep.Open); err != nil {
+		return err
+	}
 
 	// Closed loop at fixed concurrency.
 	closedCfg := cfg
@@ -183,6 +190,9 @@ func run(args []string) error {
 		return err
 	}
 	printRun(rep.Closed)
+	if err := contractHeld(rep.Closed); err != nil {
+		return err
+	}
 
 	// Max sustained RPS at the SLO.
 	if *findMax {
@@ -295,6 +305,17 @@ func measuredRun(runner *load.Runner, baseURL string, sched *load.Schedule, exec
 		return nil, fmt.Errorf("metrics cross-check failed with zero transport errors: %+v", checks)
 	}
 	return rep, nil
+}
+
+// contractHeld fails a finished run in which any sample broke its
+// scenario's status contract (transport errors included): counters that
+// reconcile do not make a 500 where a 200 was due a pass.
+func contractHeld(rep *load.RunReport) error {
+	if rep.Unexpected > 0 {
+		return fmt.Errorf("%s run: %d of %d samples broke their scenario's status contract: %+v",
+			rep.Mode, rep.Unexpected, rep.Dispatched, rep.Statuses)
+	}
+	return nil
 }
 
 func allMatch(checks []load.ServerCheck) bool {

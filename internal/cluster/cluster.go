@@ -51,11 +51,6 @@ func (s Server) AvailableGFLOPS() float64 {
 	return s.Spec.CPUGFLOPS * coreFrac * (1 - clamp01(s.CPUUtil))
 }
 
-// AvailableDiskMBps returns disk throughput scaled by current disk load.
-func (s Server) AvailableDiskMBps() float64 {
-	return s.Spec.DiskMBps * (1 - clamp01(s.DiskLoad))
-}
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

@@ -96,14 +96,6 @@ func TestAvailableGFLOPSUnderLoad(t *testing.T) {
 	}
 }
 
-func TestAvailableDiskUnderLoad(t *testing.T) {
-	s := NewServer(SpecCPUE52650())
-	s.DiskLoad = 0.5
-	if got := s.AvailableDiskMBps(); got != 250 {
-		t.Fatalf("half-loaded disk = %v, want 250", got)
-	}
-}
-
 func TestHomogeneousCluster(t *testing.T) {
 	c := Homogeneous(4, SpecGPUP100())
 	if c.Size() != 4 {

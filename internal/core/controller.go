@@ -68,7 +68,7 @@ type Controller struct {
 }
 
 // NewController returns a controller serving the given engines with the
-// default admission limits.
+// default admission limits; each engine is added as AddEngine adds one.
 func NewController(registry *GHNRegistry, engines ...*InferenceEngine) *Controller {
 	c := &Controller{
 		engines:       make(map[string]*InferenceEngine),
@@ -82,8 +82,7 @@ func NewController(registry *GHNRegistry, engines ...*InferenceEngine) *Controll
 	}
 	c.mw = &obs.Middleware{Registry: c.Metrics, IDs: obs.NewIDSource("req"), TraceLog: c.traceLogger}
 	for _, e := range engines {
-		c.engines[e.Dataset()] = e
-		e.Instrument(c.metrics)
+		c.AddEngine(e)
 	}
 	return c
 }
@@ -126,13 +125,18 @@ func (c *Controller) limits() (int64, int) {
 	return c.maxBodyBytes, c.maxBatchItems
 }
 
-// AddEngine registers an inference engine for its dataset and instruments
-// it against the controller's metrics registry.
+// AddEngine registers an inference engine for its dataset, enters its GHN
+// in the controller's GHN registry (a nil registry is left alone) so that
+// /v1/status lists the dataset under ghn_datasets, and instruments the
+// engine against the controller's metrics registry.
 func (c *Controller) AddEngine(e *InferenceEngine) {
 	c.mu.Lock()
 	c.engines[e.Dataset()] = e
 	reg := c.metrics
 	c.mu.Unlock()
+	if c.registry != nil {
+		c.registry.Put(e.Dataset(), e.ghn)
+	}
 	e.Instrument(reg)
 }
 

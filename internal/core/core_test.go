@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -145,18 +146,21 @@ func TestSimilarityAndClosestMatch(t *testing.T) {
 		graph.MustBuild("mobilenet_v3_small", cfg),
 		graph.MustBuild("densenet121", cfg),
 	}
-	best, sim, err := e.ClosestMatch(target, candidates)
-	if err != nil {
-		t.Fatal(err)
+	best, bestSim := "", -2.0
+	for _, cand := range candidates {
+		sim, err := e.Similarity(target, cand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim < -1 || sim > 1 {
+			t.Fatalf("similarity %v outside [-1,1]", sim)
+		}
+		if sim > bestSim {
+			best, bestSim = cand.Name, sim
+		}
 	}
-	if best.Name != "vgg16" {
-		t.Fatalf("closest match to vgg13 = %s (sim %.3f), want vgg16", best.Name, sim)
-	}
-	if sim < -1 || sim > 1 {
-		t.Fatalf("similarity %v outside [-1,1]", sim)
-	}
-	if _, _, err := e.ClosestMatch(target, nil); err == nil {
-		t.Fatal("empty candidates accepted")
+	if best != "vgg16" {
+		t.Fatalf("closest match to vgg13 = %s (sim %.3f), want vgg16", best, bestSim)
 	}
 }
 
@@ -173,14 +177,9 @@ func TestGHNRegistry(t *testing.T) {
 	if r.Has("cifar10") {
 		t.Fatal("empty registry claims a model")
 	}
-	if _, err := r.Get("cifar10"); err == nil {
-		t.Fatal("missing GHN not reported")
-	}
-	g := ghn.New(ghn.Config{HiddenDim: 8}, tensor.NewRNG(1))
-	r.Put("cifar10", g)
-	got, err := r.Get("cifar10")
-	if err != nil || got != g {
-		t.Fatalf("Get = %v, %v", got, err)
+	r.Put("cifar10", ghn.New(ghn.Config{HiddenDim: 8}, tensor.NewRNG(1)))
+	if !r.Has("cifar10") {
+		t.Fatal("registered GHN not reported")
 	}
 	if ds := r.Datasets(); len(ds) != 1 || ds[0] != "cifar10" {
 		t.Fatalf("Datasets = %v", ds)
@@ -189,11 +188,11 @@ func TestGHNRegistry(t *testing.T) {
 
 func TestDesignMatrixErrors(t *testing.T) {
 	g := ghn.New(ghn.Config{HiddenDim: 8}, tensor.NewRNG(1))
-	if _, _, err := DesignMatrix(g, nil, graph.DefaultConfig()); err == nil {
+	if _, _, _, err := DesignMatrixWithEmbeddings(g, nil, graph.DefaultConfig()); err == nil {
 		t.Fatal("empty points accepted")
 	}
 	bad := []simulator.DataPoint{{Model: "no-such-model", Seconds: 1}}
-	if _, _, err := DesignMatrix(g, bad, graph.DefaultConfig()); err == nil {
+	if _, _, _, err := DesignMatrixWithEmbeddings(g, bad, graph.DefaultConfig()); err == nil {
 		t.Fatal("unknown model accepted")
 	}
 }
@@ -344,6 +343,34 @@ func TestControllerTaskCheckerRejections(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET predict status = %d", resp.StatusCode)
+	}
+}
+
+// A controller built the way predictddl.NewController builds it — an empty
+// registry and the engines — must list every served dataset under
+// ghn_datasets, sorted, including an engine added after the handler is
+// mounted.
+func TestStatusListsGHNDatasets(t *testing.T) {
+	engine := func(ds string) *InferenceEngine {
+		return NewInferenceEngine(ds, ghn.New(ghn.Config{HiddenDim: 8}, tensor.NewRNG(1)), nil)
+	}
+	ctrl := NewController(NewGHNRegistry(), engine("tiny-imagenet"), engine("cifar10"))
+	srv := httptest.NewServer(ctrl.Handler())
+	defer srv.Close()
+	ctrl.AddEngine(engine("imagenet"))
+
+	resp, err := http.Get(srv.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st StatusResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"cifar10", "imagenet", "tiny-imagenet"}
+	if !reflect.DeepEqual(st.GHNDatasets, want) || !reflect.DeepEqual(st.Datasets, want) {
+		t.Fatalf("status = %+v, want datasets and ghn_datasets %v", st, want)
 	}
 }
 

@@ -69,9 +69,6 @@ func NewInferenceEngine(dataset string, g *ghn.GHN, model regress.Regressor) *In
 	}
 }
 
-// ModelKind reports the feature schema the engine's regressor consumes.
-func (e *InferenceEngine) ModelKind() regress.FeatureKind { return e.kind }
-
 // SetEmbeddingCacheSize rebounds the embedding cache to at most n entries
 // (n <= 0 removes the bound). The cache is cleared: embeddings are pure
 // functions of (weights, graph), so dropping them affects latency only,
@@ -280,27 +277,6 @@ func (e *InferenceEngine) embedEach(graphs []*graph.Graph) (out [][]float64, err
 	return out, errs
 }
 
-// Features builds the regression input for the engine's model kind:
-// [embedding ‖ cluster features] for embedding backends, the analytic scalar
-// schema for analytic ones.
-func (e *InferenceEngine) Features(g *graph.Graph, c cluster.Cluster) ([]float64, error) {
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("core: features: %w", err)
-	}
-	if e.kind == regress.FeatureAnalytic {
-		feats, err := simulator.AnalyticFeaturesFor(g, c)
-		if err != nil {
-			return nil, fmt.Errorf("core: features: %w", err)
-		}
-		return feats, nil
-	}
-	emb, err := e.Embedding(g)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.Concat(emb, c.Features()), nil
-}
-
 // Predict estimates the training time in seconds for running the DNN on
 // the cluster. Negative regressor outputs are clamped to a small positive
 // floor (times are physical quantities).
@@ -459,25 +435,4 @@ func (e *InferenceEngine) Confidence(g *graph.Graph) (string, float64, error) {
 		}
 	}
 	return bestName, bestSim, nil
-}
-
-// ClosestMatch returns the candidate architecture most similar to target in
-// embedding space — how PredictDDL associates a new DNN with known ones
-// when there is no exact match (§III-E).
-func (e *InferenceEngine) ClosestMatch(target *graph.Graph, candidates []*graph.Graph) (*graph.Graph, float64, error) {
-	if len(candidates) == 0 {
-		return nil, 0, fmt.Errorf("core: no candidate architectures")
-	}
-	var best *graph.Graph
-	bestSim := -2.0
-	for _, cand := range candidates {
-		sim, err := e.Similarity(target, cand)
-		if err != nil {
-			return nil, 0, err
-		}
-		if sim > bestSim {
-			best, bestSim = cand, sim
-		}
-	}
-	return best, bestSim, nil
 }

@@ -5,7 +5,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -31,19 +30,6 @@ func (r *GHNRegistry) Put(dataset string, g *ghn.GHN) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.models[dataset] = g
-}
-
-// Get returns the GHN for a dataset, or an error naming the offline
-// training path when the dataset has no model yet (the Task Checker's
-// branch in Fig. 7).
-func (r *GHNRegistry) Get(dataset string) (*ghn.GHN, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	g, ok := r.models[dataset]
-	if !ok {
-		return nil, fmt.Errorf("core: no pre-trained GHN for dataset %q — offline GHN training required (have: %v)", dataset, r.datasetsLocked())
-	}
-	return g, nil
 }
 
 // Has reports whether a dataset has a trained GHN.

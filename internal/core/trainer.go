@@ -12,19 +12,12 @@ import (
 	"predictddl/internal/tensor"
 )
 
-// DesignMatrix assembles the regression dataset from campaign points: each
-// row is [GHN embedding of the point's architecture ‖ cluster features] and
-// the target is the measured training time. Embeddings are computed once
-// per distinct architecture.
-func DesignMatrix(g *ghn.GHN, points []simulator.DataPoint, gcfg graph.Config) (*tensor.Matrix, []float64, error) {
-	x, y, _, err := DesignMatrixWithEmbeddings(g, points, gcfg)
-	return x, y, err
-}
-
-// DesignMatrixWithEmbeddings is DesignMatrix, additionally returning the
-// per-architecture embeddings (read-only) so callers can seed an engine's
-// reference set without recomputing them. It runs the same embedding loop
-// TrainEngine does — an engine's EmbedAll — on a throwaway engine around g.
+// DesignMatrixWithEmbeddings assembles the regression dataset from campaign
+// points — each row is [GHN embedding of the point's architecture ‖ cluster
+// features], the target the measured training time — and returns the
+// per-architecture embeddings (read-only) beside it, so callers can seed an
+// engine's reference set without recomputing them. It runs the same embedding
+// loop TrainEngine does — an engine's EmbedAll — on a throwaway engine around g.
 func DesignMatrixWithEmbeddings(g *ghn.GHN, points []simulator.DataPoint, gcfg graph.Config) (*tensor.Matrix, []float64, map[string][]float64, error) {
 	return NewInferenceEngine("", g, nil).designMatrix(points, gcfg)
 }
@@ -107,8 +100,8 @@ type TrainOptions struct {
 	// Campaign describes the execution-sample collection (which models on
 	// which machine class at which cluster sizes).
 	Campaign simulator.CampaignSpec
-	// Regressor is the prediction model; nil selects the paper's default,
-	// second-order polynomial regression.
+	// Regressor is the prediction model; nil selects the serving default,
+	// ridge linear regression on log targets (the "linear" backend).
 	Regressor regress.Regressor
 	// Simulator provides ground-truth measurements; nil uses seed 1 with
 	// default options.

@@ -39,14 +39,6 @@ func (d Dataset) GraphConfig() graph.Config {
 	}
 }
 
-// BytesPerSample returns the average stored bytes per training sample.
-func (d Dataset) BytesPerSample() float64 {
-	if d.NumImages == 0 {
-		return 0
-	}
-	return float64(d.SizeBytes) / float64(d.NumImages)
-}
-
 // CIFAR10 is the 60,000-image, 10-class, 32x32 dataset (~163 MB) used in the
 // paper's evaluation.
 func CIFAR10() Dataset {

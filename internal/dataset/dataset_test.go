@@ -54,14 +54,3 @@ func TestGraphConfig(t *testing.T) {
 		t.Fatalf("GraphConfig = %+v", cfg)
 	}
 }
-
-func TestBytesPerSample(t *testing.T) {
-	d := CIFAR10()
-	bps := d.BytesPerSample()
-	if bps <= 0 || bps > 10000 {
-		t.Fatalf("bytes/sample = %v out of plausible range", bps)
-	}
-	if (Dataset{}).BytesPerSample() != 0 {
-		t.Fatal("empty dataset must report 0 bytes/sample")
-	}
-}

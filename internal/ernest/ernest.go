@@ -81,51 +81,3 @@ func (e *Model) Predict(machines int) (float64, error) {
 	}
 	return tensor.Dot(e.theta, Features(machines)), nil
 }
-
-// Theta returns a copy of the fitted non-negative coefficients
-// [θ₀, θ₁, θ₂, θ₃], or nil before Fit.
-func (e *Model) Theta() []float64 {
-	if !e.fitted {
-		return nil
-	}
-	return tensor.CloneVec(e.theta)
-}
-
-// Suite manages one Ernest model per workload, implementing the baseline's
-// usage protocol: every new workload requires collecting that workload's own
-// measurements and fitting a fresh model (the retraining cost PredictDDL
-// eliminates — Fig. 13).
-type Suite struct {
-	models map[string]*Model
-}
-
-// NewSuite returns an empty model registry.
-func NewSuite() *Suite { return &Suite{models: make(map[string]*Model)} }
-
-// Train fits (or refits) the model for one workload from its measurements.
-func (s *Suite) Train(workload string, points []simulator.DataPoint) error {
-	for _, p := range points {
-		if p.Model != workload {
-			return fmt.Errorf("ernest: point for %q passed to %q trainer", p.Model, workload)
-		}
-	}
-	m := &Model{}
-	if err := m.FitPoints(points); err != nil {
-		return fmt.Errorf("ernest: workload %q: %w", workload, err)
-	}
-	s.models[workload] = m
-	return nil
-}
-
-// Predict estimates the training time of a known workload; unknown
-// workloads fail, reflecting Ernest's inability to generalize across DNNs.
-func (s *Suite) Predict(workload string, machines int) (float64, error) {
-	m, ok := s.models[workload]
-	if !ok {
-		return 0, fmt.Errorf("ernest: no model for workload %q (Ernest requires per-workload retraining)", workload)
-	}
-	return m.Predict(machines)
-}
-
-// Workloads returns the number of fitted per-workload models.
-func (s *Suite) Workloads() int { return len(s.models) }

@@ -13,7 +13,7 @@ import (
 
 func TestNNLSMatchesUnconstrainedWhenPositive(t *testing.T) {
 	// y = 2 + 3x with positive coefficients: NNLS must recover them.
-	a, _ := tensor.FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
+	a, _ := tensor.NewMatrixFrom(4, 2, []float64{1, 0, 1, 1, 1, 2, 1, 3})
 	b := []float64{2, 5, 8, 11}
 	x, err := NNLS(a, b)
 	if err != nil {
@@ -26,7 +26,7 @@ func TestNNLSMatchesUnconstrainedWhenPositive(t *testing.T) {
 
 func TestNNLSClampsNegativeSolution(t *testing.T) {
 	// Best unconstrained fit has a negative coefficient; NNLS must zero it.
-	a, _ := tensor.FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}})
+	a, _ := tensor.NewMatrixFrom(3, 2, []float64{1, 0, 1, 1, 1, 2})
 	b := []float64{3, 2, 1} // slope −1
 	x, err := NNLS(a, b)
 	if err != nil {
@@ -120,7 +120,7 @@ func TestErnestFitsItsOwnModelShape(t *testing.T) {
 			t.Fatalf("m=%d: predicted %v, actual %v", m, p, secs[i])
 		}
 	}
-	th := e.Theta()
+	th := e.theta
 	if len(th) != 4 {
 		t.Fatalf("theta = %v", th)
 	}
@@ -193,32 +193,5 @@ func TestErnestOnSimulatedWorkload(t *testing.T) {
 	}
 	if worst > 0.5 {
 		t.Fatalf("Ernest mis-fits its own workload's curve by %.0f%%", worst*100)
-	}
-}
-
-func TestSuiteRequiresPerWorkloadRetraining(t *testing.T) {
-	s := NewSuite()
-	pts := []simulator.DataPoint{
-		{Model: "resnet18", NumServers: 1, Seconds: 100},
-		{Model: "resnet18", NumServers: 4, Seconds: 40},
-		{Model: "resnet18", NumServers: 8, Seconds: 25},
-	}
-	if err := s.Train("resnet18", pts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Predict("resnet18", 2); err != nil {
-		t.Fatal(err)
-	}
-	// A workload Ernest has never measured cannot be predicted.
-	if _, err := s.Predict("vgg16", 2); err == nil {
-		t.Fatal("Ernest predicted an unseen workload without retraining")
-	}
-	// Mixed-workload training data is rejected.
-	bad := append(pts, simulator.DataPoint{Model: "vgg16", NumServers: 2, Seconds: 50})
-	if err := s.Train("resnet18", bad); err == nil {
-		t.Fatal("cross-workload points accepted")
-	}
-	if s.Workloads() != 1 {
-		t.Fatalf("workloads = %d", s.Workloads())
 	}
 }

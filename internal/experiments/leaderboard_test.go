@@ -67,19 +67,28 @@ func syntheticCorpora(t *testing.T) []LeaderboardCorpus {
 	}
 	xa1, _ := analytic(tensor.NewRNG(18))
 
-	// Corpus 2: targets exactly proportional to the roofline estimate.
+	// Corpus 2: targets exactly proportional to the roofline estimate, which
+	// is restated here from the simulator's cost functions. The targets keep
+	// the form 37·(scale·raw)/scale, with scale the roofline's geometric-mean
+	// calibration against raw2, so the golden's bits do not move.
 	xa2, raw2 := analytic(tensor.NewRNG(19))
 	y2 := make([]float64, n)
-	probe := regress.NewRoofline()
-	if err := probe.Fit(xa2, raw2); err != nil {
-		t.Fatal(err)
-	}
+	col := func(row []float64, name string) float64 { return row[simulator.AnalyticIndex(name)] }
+	var opts simulator.Options
+	var logSum float64
 	for i := 0; i < n; i++ {
-		p, err := probe.Predict(xa2.Row(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		y2[i] = 37 * p / probe.Scale()
+		row := xa2.Row(i)
+		servers := int(col(row, "num_servers"))
+		compute := 3 * col(row, "flops") * simulator.DefaultBatchPerServer /
+			(col(row, "min_server_gflops") * 1e9 * simulator.BaseEfficiency(col(row, "num_gpus") > 0))
+		comm := opts.CommPerIteration(compute, servers, 4*col(row, "params"), col(row, "min_nic_gbps"))
+		overhead := opts.OverheadPerIteration(int(col(row, "num_nodes")), servers)
+		y2[i] = (compute + comm + overhead) / float64(servers)
+		logSum += math.Log(raw2[i] / y2[i])
+	}
+	scale := math.Exp(logSum / n)
+	for i := range y2 {
+		y2[i] = 37 * (scale * y2[i]) / scale
 	}
 	x2 := tensor.NewMatrix(n, 5)
 	for i := 0; i < n; i++ {

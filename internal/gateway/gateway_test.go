@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -116,6 +117,11 @@ func TestGatewayRoutesAndAggregates(t *testing.T) {
 	}
 	if len(st.Datasets) != len(datasets) || len(st.Replicas) != 2 {
 		t.Fatalf("topology = %+v", st)
+	}
+	// Every replica registers its engines' GHNs, so the union is the served
+	// datasets, not empty.
+	if !reflect.DeepEqual(st.GHNDatasets, st.Datasets) {
+		t.Fatalf("ghn_datasets = %v, want the served datasets %v", st.GHNDatasets, st.Datasets)
 	}
 	for _, rep := range st.Replicas {
 		if !rep.Up || rep.Shard == "" {

@@ -24,7 +24,6 @@
 package ghn
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -146,9 +145,6 @@ func New(cfg Config, rng *tensor.RNG) *GHN {
 	g.pool.New = func() any { return newInferScratch(d, cfg.EmbedDim) }
 	return g
 }
-
-// Config returns the network's configuration.
-func (g *GHN) Config() Config { return g.cfg }
 
 // EmbeddingDim returns the dimensionality of Embed's output.
 func (g *GHN) EmbeddingDim() int { return g.cfg.EmbedDim }
@@ -419,17 +415,4 @@ func terminalNodes(gr *graph.Graph) (in, out int) {
 		}
 	}
 	return in, out
-}
-
-// EmbedAll embeds several graphs, returning one row per graph.
-func (g *GHN) EmbedAll(graphs []*graph.Graph) (*tensor.Matrix, error) {
-	out := tensor.NewMatrix(len(graphs), g.EmbeddingDim())
-	for i, gr := range graphs {
-		e, err := g.Embed(gr)
-		if err != nil {
-			return nil, fmt.Errorf("ghn: embedding %s: %w", gr.Name, err)
-		}
-		out.SetRow(i, e)
-	}
-	return out, nil
 }

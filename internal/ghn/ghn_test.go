@@ -56,27 +56,12 @@ func TestEmbedDistinguishesArchitectures(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	g := New(Config{}, tensor.NewRNG(1))
-	cfg := g.Config()
+	cfg := g.cfg
 	if cfg.HiddenDim != 32 || cfg.Passes != 1 || cfg.MaxShortestPath != 5 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	if g.EmbeddingDim() != 32 {
 		t.Fatalf("EmbeddingDim = %d", g.EmbeddingDim())
-	}
-}
-
-func TestEmbedAllRows(t *testing.T) {
-	g := New(Config{HiddenDim: 16}, tensor.NewRNG(2))
-	graphs := []*graph.Graph{
-		graph.MustBuild("squeezenet1_1", graph.DefaultConfig()),
-		graph.MustBuild("resnet18", graph.DefaultConfig()),
-	}
-	m, err := g.EmbedAll(graphs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows() != 2 || m.Cols() != 32 {
-		t.Fatalf("EmbedAll shape %dx%d", m.Rows(), m.Cols())
 	}
 }
 
@@ -109,21 +94,30 @@ func TestGHNGradCheck(t *testing.T) {
 	}
 
 	params := g.Params()
+	// loss evaluates the proxy loss without the tape: the finite-difference
+	// side of the check.
+	tg, err := g.newTrainGraph(gr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	loss := func() float64 {
-		l, err := g.Loss(gr)
-		if err != nil {
-			t.Fatal(err)
+		var st forwardState
+		g.forward(&st, tg)
+		var total float64
+		nodeWeight := 1 / float64(len(st.h))
+		for v := range st.h {
+			out, _ := g.decoder.Forward(nil, st.h[v])
+			l, _ := nn.HuberLoss(nil, out, tg.nodeT[v], 1)
+			total += l * nodeWeight
 		}
-		return l
+		out, _ := g.graphHead.Forward(nil, g.proj.Forward(nil, g.readout(&st)))
+		l, _ := nn.HuberLoss(nil, out, tg.graphT, 1)
+		return total + l
 	}
 
 	// Analytic gradients via the same path gradStep uses (but no update),
 	// on the heap: a zero forwardState has no arena.
 	nn.ZeroGrads(params)
-	tg, err := g.newTapeGraph(gr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := &forwardState{}
 	g.forward(st, tg)
 	n := len(st.h)
@@ -149,7 +143,7 @@ func TestGHNGradCheck(t *testing.T) {
 	for _, p := range params {
 		// Sample a few entries per tensor to keep the test fast.
 		probe := tensor.NewRNG(int64(len(p.Name)))
-		for k := 0; k < 3 && k < p.Size(); k++ {
+		for k := 0; k < 3 && k < p.W.Rows()*p.W.Cols(); k++ {
 			i := probe.Intn(p.W.Rows())
 			j := probe.Intn(p.W.Cols())
 			orig := p.W.At(i, j)
@@ -269,29 +263,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("loaded network embeds differently")
 		}
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	g := New(Config{HiddenDim: 8}, tensor.NewRNG(7))
-	path := t.TempDir() + "/ghn.ckpt"
-	if err := g.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gr := smallGraph(t)
-	a, _ := g.Embed(gr)
-	b, _ := g2.Embed(gr)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("file round trip embeds differently")
-		}
-	}
-	if _, err := LoadFile(t.TempDir() + "/missing.ckpt"); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

@@ -170,32 +170,6 @@ func TestGradStepAllocRegression(t *testing.T) {
 	}
 }
 
-// EmbedAll's allocations must stay linear in the output size (the result
-// matrix, per-row slices and per-graph traversal tables), not in graph
-// size — at the serving configuration; see TestEmbedAllocRegression.
-func TestEmbedAllAllocRegression(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector; alloc bounds only hold without it")
-	}
-	g := New(Config{}, tensor.NewRNG(1))
-	graphs := []*graph.Graph{
-		graph.MustBuild("squeezenet1_1", graph.DefaultConfig()),
-		graph.MustBuild("resnet18", graph.DefaultConfig()),
-	}
-	if _, err := g.EmbedAll(graphs); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := g.EmbedAll(graphs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// 2 graphs x (result slice + traversal tables) + result matrix.
-	if allocs > 25 {
-		t.Fatalf("EmbedAll allocates %v per run, want <= 25", allocs)
-	}
-}
-
 func TestEmbedKeyedRejectsUnknownPrecision(t *testing.T) {
 	g := New(DefaultConfig(), tensor.NewRNG(1))
 	gr := smallGraph(t)

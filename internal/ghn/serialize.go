@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 
 	"predictddl/internal/tensor"
 )
@@ -56,29 +55,4 @@ func Load(r io.Reader) (*GHN, error) {
 		copy(p.W.Data(), ck.Data[i])
 	}
 	return g, nil
-}
-
-// SaveFile writes a checkpoint to path. A close failure (e.g. a full disk
-// flushing buffered writes) is reported exactly once.
-func (g *GHN) SaveFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("ghn: save file: %w", err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("ghn: save file: %w", cerr)
-		}
-	}()
-	return g.Save(f)
-}
-
-// LoadFile reads a checkpoint from path.
-func LoadFile(path string) (*GHN, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("ghn: load file: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }

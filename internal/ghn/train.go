@@ -383,24 +383,3 @@ func (w *trainWorker) gradStep(tg *tapeGraph) float64 {
 	g.backward(st, st.gradNodes, gradReadout)
 	return total
 }
-
-// Loss evaluates (without updating) the proxy loss on one graph — used by
-// tests and the training monitor.
-func (g *GHN) Loss(gr *graph.Graph) (float64, error) {
-	tg, err := g.newTrainGraph(gr)
-	if err != nil {
-		return 0, err
-	}
-	var st forwardState
-	g.forward(&st, tg)
-	var total float64
-	nodeWeight := 1 / float64(len(st.h))
-	for v := range st.h {
-		out, _ := g.decoder.Forward(nil, st.h[v])
-		l, _ := nn.HuberLoss(nil, out, tg.nodeT[v], 1)
-		total += l * nodeWeight
-	}
-	out, _ := g.graphHead.Forward(nil, g.proj.Forward(nil, g.readout(&st)))
-	l, _ := nn.HuberLoss(nil, out, tg.graphT, 1)
-	return total + l, nil
-}

@@ -217,12 +217,6 @@ func (b *builder) dropout(from int) int {
 	return b.node(OpDropout, "dropout", []int{from}, c, h, w, 0, int64(c)*int64(h)*int64(w))
 }
 
-func (b *builder) lrn(from int) int {
-	c, h, w := b.shape(from)
-	elems := int64(c) * int64(h) * int64(w)
-	return b.node(OpLRN, "lrn", []int{from}, c, h, w, 0, 5*elems)
-}
-
 func (b *builder) softmax(from int) int {
 	c, h, w := b.shape(from)
 	return b.node(OpSoftmax, "softmax", []int{from}, c, h, w, 0, 3*int64(c)*int64(h)*int64(w))

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // NodeSpec is the wire representation of one node.
 type NodeSpec struct {
@@ -104,21 +100,4 @@ func FromSpec(s *Spec) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// WriteJSON serializes the graph as JSON.
-func (g *Graph) WriteJSON(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(g.Spec()); err != nil {
-		return fmt.Errorf("graph: encode %s: %w", g.Name, err)
-	}
-	return nil
-}
-
-// ReadJSON deserializes and validates a graph from JSON.
-func ReadJSON(r io.Reader) (*Graph, error) {
-	var s Spec
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("graph: decode: %w", err)
-	}
-	return FromSpec(&s)
 }

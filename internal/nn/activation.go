@@ -61,7 +61,6 @@ var (
 	Identity Activation = identity{}
 	ReLU     Activation = relu{}
 	Tanh     Activation = tanhAct{}
-	Sigmoid  Activation = sigmoid{}
 )
 
 // Sigmoidf applies the numerically stable logistic function; exposed for

@@ -83,7 +83,7 @@ func TestLinearInputGradCheck(t *testing.T) {
 }
 
 func TestMLPGradCheck(t *testing.T) {
-	for _, act := range []Activation{ReLU, Tanh, Sigmoid} {
+	for _, act := range []Activation{ReLU, Tanh, sigmoid{}} {
 		rng := tensor.NewRNG(3)
 		m := NewMLP("mlp", []int{3, 5, 2}, act, Identity, rng)
 		x := make([]float64, 3)
@@ -185,7 +185,7 @@ func TestGradientAccumulationAcrossCalls(t *testing.T) {
 
 	ZeroGrads(l.Params())
 	l.Backward(nil, x1, g)
-	once := l.Weight.Grad.Clone()
+	once, _ := tensor.NewMatrixFrom(2, 2, l.Weight.Grad.Data()) // a copy
 	l.Backward(nil, x2, g)
 	twice := l.Weight.Grad
 

@@ -20,21 +20,9 @@ func (l *Linear) InferInto(dst, x []float64) {
 	tensor.MatVecBias(dst, l.Weight.W.Data(), l.In, x, l.Bias.W.Data())
 }
 
-// MaxDim returns the widest layer output — the scratch size InferInto
-// needs.
-func (m *MLP) MaxDim() int {
-	mx := 0
-	for _, l := range m.layers {
-		if l.Out > mx {
-			mx = l.Out
-		}
-	}
-	return mx
-}
-
 // InferInto runs the network into dst without allocating; tmp1 and tmp2
-// are ping-pong buffers of at least MaxDim elements that must not alias x
-// or dst.
+// are ping-pong buffers at least as long as the widest layer output that
+// must not alias x or dst.
 func (m *MLP) InferInto(dst, x, tmp1, tmp2 []float64) {
 	n := len(m.layers)
 	cur := x

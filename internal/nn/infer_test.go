@@ -31,9 +31,9 @@ func TestMLPInferIntoMatchesForward(t *testing.T) {
 		m := NewMLP("m", sizes, ReLU, Identity, rng)
 		x := rng.GlorotMatrix(1, sizes[0]).Row(0)
 		want, _ := m.Forward(nil, x)
-		got := make([]float64, m.OutDim())
-		tmp1 := make([]float64, m.MaxDim())
-		tmp2 := make([]float64, m.MaxDim())
+		got := make([]float64, sizes[len(sizes)-1])
+		tmp1 := make([]float64, 9) // the widest layer in every case
+		tmp2 := make([]float64, 9)
 		m.InferInto(got, x, tmp1, tmp2)
 		for i := range want {
 			if got[i] != want[i] {

@@ -50,12 +50,6 @@ func (m *MLP) Params() []*Param {
 	return ps
 }
 
-// InDim returns the expected input dimensionality.
-func (m *MLP) InDim() int { return m.layers[0].In }
-
-// OutDim returns the output dimensionality.
-func (m *MLP) OutDim() int { return m.layers[len(m.layers)-1].Out }
-
 // width is the summed output width of all layers: the length of an
 // MLPCache's pre and out vectors.
 func (m *MLP) width() int {

@@ -238,7 +238,7 @@ func TestMLPMatchesNaiveBitwise(t *testing.T) {
 		got, cache := m.Forward(nil, x)
 		bitsEqual(t, "Forward", got, ins[len(ins)-1])
 
-		for _, d := range zeroPatterns(rng, m.OutDim()) {
+		for _, d := range zeroPatterns(rng, m.layers[len(m.layers)-1].Out) {
 			seedGrads(rng, m.Params())
 			start := cloneGrads(m.Params())
 			grad := d

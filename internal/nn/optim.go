@@ -12,43 +12,6 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*Param]*tensor.Matrix
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and momentum
-// (use 0 for vanilla SGD).
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*tensor.Matrix)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		w, g := p.W.Data(), p.Grad.Data()
-		if s.Momentum == 0 {
-			for i := range w {
-				w[i] -= s.LR * g[i]
-			}
-			continue
-		}
-		v, ok := s.velocity[p]
-		if !ok {
-			v = tensor.NewMatrix(p.W.Rows(), p.W.Cols())
-			s.velocity[p] = v
-		}
-		vd := v.Data()
-		for i := range w {
-			vd[i] = s.Momentum*vd[i] + g[i]
-			w[i] -= s.LR * vd[i]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba), the default for GHN-2 training.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

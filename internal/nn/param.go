@@ -38,9 +38,6 @@ func NewParam(name string, rows, cols int) *Param {
 	return &Param{Name: name, W: tensor.NewMatrix(rows, cols), Grad: tensor.NewMatrix(rows, cols)}
 }
 
-// Size returns the number of scalar values in the parameter.
-func (p *Param) Size() int { return p.W.Rows() * p.W.Cols() }
-
 // ZeroGrads resets the gradient accumulators of all params.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
@@ -71,15 +68,6 @@ func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 		}
 	}
 	return norm
-}
-
-// CountParams returns the total number of scalars across params.
-func CountParams(params []*Param) int {
-	var n int
-	for _, p := range params {
-		n += p.Size()
-	}
-	return n
 }
 
 // CheckFinite returns an error naming the first parameter containing a NaN

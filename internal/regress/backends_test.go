@@ -70,13 +70,13 @@ func TestKNNAutoSelectsK(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	x, y := synthData(rng, 60, 3, 0.1, func(v []float64) float64 { return 10 + v[0] + v[1] })
 	m := NewKNN(1)
-	if m.ChosenK() != 0 {
-		t.Fatal("ChosenK non-zero before Fit")
+	if m.chosenK != 0 {
+		t.Fatal("chosenK non-zero before Fit")
 	}
 	if err := m.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	k := m.ChosenK()
+	k := m.chosenK
 	if k < 1 || k > x.Rows() {
 		t.Fatalf("chosen k = %d outside [1, %d]", k, x.Rows())
 	}
@@ -97,8 +97,8 @@ func TestKNNCapsKAtTrainingSize(t *testing.T) {
 	if err := m.Fit(x, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if m.ChosenK() != 3 {
-		t.Fatalf("k = %d, want capped at 3 rows", m.ChosenK())
+	if m.chosenK != 3 {
+		t.Fatalf("k = %d, want capped at 3 rows", m.chosenK)
 	}
 	if _, err := m.Predict([]float64{1.5}); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestGBStumpsFitsStepFunction(t *testing.T) {
 	if err := m.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if m.NumStumps() == 0 {
+	if len(m.stumps) == 0 {
 		t.Fatal("no stumps fitted on splittable data")
 	}
 	for _, c := range []struct{ in, want float64 }{{3, 1}, {float64(n - 3), 5}} {
@@ -144,8 +144,8 @@ func TestGBStumpsConstantTargets(t *testing.T) {
 	if err := m.Fit(x, []float64{7, 7, 7, 7}); err != nil {
 		t.Fatal(err)
 	}
-	if m.NumStumps() != 0 {
-		t.Fatalf("fitted %d stumps on constant targets", m.NumStumps())
+	if len(m.stumps) != 0 {
+		t.Fatalf("fitted %d stumps on constant targets", len(m.stumps))
 	}
 	got, err := m.Predict([]float64{99})
 	if err != nil {
@@ -165,8 +165,8 @@ func TestGBStumpsEarlyStoppingBoundsEnsemble(t *testing.T) {
 	if err := m.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if m.NumStumps() >= 5000 {
-		t.Fatalf("early stopping never fired: %d stumps", m.NumStumps())
+	if len(m.stumps) >= 5000 {
+		t.Fatalf("early stopping never fired: %d stumps", len(m.stumps))
 	}
 }
 
@@ -185,14 +185,14 @@ func TestRooflineCalibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		y[i] = c * raw / probe.Scale()
+		y[i] = c * raw / probe.scale
 	}
 	m := NewRoofline()
 	if err := m.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(m.Scale()-c) > 1e-9*c {
-		t.Fatalf("calibration scale = %v, want %v", m.Scale(), c)
+	if math.Abs(m.scale-c) > 1e-9*c {
+		t.Fatalf("calibration scale = %v, want %v", m.scale, c)
 	}
 	for i := 0; i < x.Rows(); i++ {
 		got, err := m.Predict(x.Row(i))

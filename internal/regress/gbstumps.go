@@ -53,9 +53,6 @@ func NewGradientBoostedStumps(seed int64) *GradientBoostedStumps {
 // Name implements Regressor.
 func (m *GradientBoostedStumps) Name() string { return "gb-stumps" }
 
-// NumStumps reports the fitted ensemble size (0 before Fit).
-func (m *GradientBoostedStumps) NumStumps() int { return len(m.stumps) }
-
 func (m *GradientBoostedStumps) withDefaults() (rounds int, shrinkage, valFrac float64, patience int) {
 	rounds, shrinkage, valFrac, patience = m.Rounds, m.Shrinkage, m.ValFrac, m.Patience
 	if rounds <= 0 {

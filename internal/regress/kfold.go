@@ -29,50 +29,6 @@ type FoldScore struct {
 	MAPE float64
 }
 
-// CrossValidateScores fits a fresh model per fold and returns each fold's
-// held-out RMSE and MAPE. It refuses the degenerate inputs that used to slip
-// through CrossValidate into NaN scores: fewer rows than folds (via KFold),
-// non-positive targets (MAPE undefined), and constant-target training folds
-// (the model would learn nothing and every percentage error is meaningless) —
-// each with an error naming the offending fold.
-func CrossValidateScores(newModel func() Regressor, x *tensor.Matrix, y []float64, k int, rng *tensor.RNG) ([]FoldScore, error) {
-	if err := checkTrainingData(x, y); err != nil {
-		return nil, err
-	}
-	for i, v := range y {
-		if v <= 0 {
-			return nil, fmt.Errorf("regress: cross-validation target %d is %g; MAPE needs positive targets", i, v)
-		}
-	}
-	folds, err := KFold(x.Rows(), k, rng)
-	if err != nil {
-		return nil, err
-	}
-	scores := make([]FoldScore, k)
-	for i, test := range folds {
-		train := complementIndices(x.Rows(), test)
-		xTrain, yTrain := Take(x, y, train)
-		if constantTargets(yTrain) {
-			return nil, fmt.Errorf("regress: fold %d training targets are all %g; constant-target folds are untrainable (use fewer folds or more varied data)", i, yTrain[0])
-		}
-		xTest, yTest := Take(x, y, test)
-		m := newModel()
-		if err := m.Fit(xTrain, yTrain); err != nil {
-			return nil, fmt.Errorf("regress: fold %d: %w", i, err)
-		}
-		pred, err := PredictAll(m, xTest)
-		if err != nil {
-			return nil, fmt.Errorf("regress: fold %d: %w", i, err)
-		}
-		mape, err := MAPE(pred, yTest)
-		if err != nil {
-			return nil, fmt.Errorf("regress: fold %d: %w", i, err)
-		}
-		scores[i] = FoldScore{RMSE: RMSE(pred, yTest), MAPE: mape}
-	}
-	return scores, nil
-}
-
 func complementIndices(n int, exclude []int) []int {
 	in := make(map[int]bool, len(exclude))
 	for _, idx := range exclude {
@@ -85,15 +41,6 @@ func complementIndices(n int, exclude []int) []int {
 		}
 	}
 	return out
-}
-
-func constantTargets(y []float64) bool {
-	for _, v := range y[1:] {
-		if v != y[0] {
-			return false
-		}
-	}
-	return true
 }
 
 // CrossValidate fits a fresh model per fold and returns the per-fold test

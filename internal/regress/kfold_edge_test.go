@@ -2,80 +2,11 @@ package regress
 
 import (
 	"math"
-	"strings"
 	"testing"
-
-	"predictddl/internal/tensor"
 )
 
-// Regression tests for the k-fold edge cases that used to surface as NaN
-// MAPE deep inside a leaderboard run instead of a diagnosable error.
-
-func newLinearFactory() Regressor { return NewLinearRegression() }
-
-func TestCrossValidateScoresHappyPath(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	x, y := synthData(rng, 50, 3, 0.05, func(v []float64) float64 { return 10 + v[0] - v[2] })
-	scores, err := CrossValidateScores(newLinearFactory, x, y, 5, tensor.NewRNG(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != 5 {
-		t.Fatalf("got %d fold scores, want 5", len(scores))
-	}
-	for i, s := range scores {
-		if math.IsNaN(s.MAPE) || math.IsNaN(s.RMSE) || s.MAPE < 0 || s.RMSE < 0 {
-			t.Fatalf("fold %d score %+v is not a sane error value", i, s)
-		}
-		if s.MAPE > 0.2 {
-			t.Fatalf("fold %d MAPE %v way off on near-linear data", i, s.MAPE)
-		}
-	}
-}
-
-func TestCrossValidateScoresFewerRowsThanFolds(t *testing.T) {
-	x, _ := tensor.NewMatrixFrom(3, 1, []float64{1, 2, 3})
-	_, err := CrossValidateScores(newLinearFactory, x, []float64{1, 2, 3}, 5, tensor.NewRNG(1))
-	if err == nil {
-		t.Fatal("3 rows accepted for 5 folds")
-	}
-	if !strings.Contains(err.Error(), "2 ≤ k ≤ n") {
-		t.Fatalf("error %q does not explain the fold bound", err)
-	}
-}
-
-func TestCrossValidateScoresNonPositiveTargets(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	x, y := synthData(rng, 20, 2, 0.05, func(v []float64) float64 { return 10 + v[0] })
-	y[7] = 0
-	_, err := CrossValidateScores(newLinearFactory, x, y, 4, tensor.NewRNG(1))
-	if err == nil {
-		t.Fatal("zero target accepted")
-	}
-	if !strings.Contains(err.Error(), "positive targets") || !strings.Contains(err.Error(), "target 7") {
-		t.Fatalf("error %q does not name the offending target", err)
-	}
-}
-
-func TestCrossValidateScoresConstantTargetFolds(t *testing.T) {
-	x := tensor.NewMatrix(12, 2)
-	rng := tensor.NewRNG(3)
-	for i := 0; i < x.Rows(); i++ {
-		rng.FillUniform(x.Row(i), -1, 1)
-	}
-	y := make([]float64, 12)
-	for i := range y {
-		y[i] = 4.5
-	}
-	_, err := CrossValidateScores(newLinearFactory, x, y, 3, tensor.NewRNG(1))
-	if err == nil {
-		t.Fatal("constant targets accepted")
-	}
-	if !strings.Contains(err.Error(), "constant-target folds are untrainable") {
-		t.Fatalf("error %q does not diagnose the constant fold", err)
-	}
-}
-
+// Regression test for the MAPE edge cases that used to surface as NaN deep
+// inside a leaderboard run instead of a diagnosable error.
 func TestMAPEEdgeCases(t *testing.T) {
 	if _, err := MAPE([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")

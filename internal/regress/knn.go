@@ -52,9 +52,6 @@ func NewKNN(seed int64) *KNNRegressor {
 // Name implements Regressor.
 func (m *KNNRegressor) Name() string { return "knn" }
 
-// ChosenK reports the neighbor count in use after Fit (0 before).
-func (m *KNNRegressor) ChosenK() int { return m.chosenK }
-
 func (m *KNNRegressor) candidateKs() []int {
 	if len(m.CandidateKs) > 0 {
 		return m.CandidateKs

@@ -58,15 +58,6 @@ func (l *LinearRegression) Predict(features []float64) (float64, error) {
 	return l.coef[0] + tensor.Dot(l.coef[1:], fs), nil
 }
 
-// Coefficients returns a copy of the fitted weights (intercept first, then
-// one weight per standardized feature), or nil before Fit.
-func (l *LinearRegression) Coefficients() []float64 {
-	if l.coef == nil {
-		return nil
-	}
-	return tensor.CloneVec(l.coef)
-}
-
 // PolynomialRegression expands features with degree-≤d monomials before a
 // ridge linear fit. Degree 2 is the paper's best-performing configuration
 // ("PR" in Fig. 10).

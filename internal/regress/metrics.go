@@ -17,16 +17,6 @@ func RMSE(pred, actual []float64) float64 {
 	return math.Sqrt(s / float64(len(pred)))
 }
 
-// MAE returns the mean absolute error.
-func MAE(pred, actual []float64) float64 {
-	mustSameLen(pred, actual)
-	var s float64
-	for i, p := range pred {
-		s += math.Abs(p - actual[i])
-	}
-	return s / float64(len(pred))
-}
-
 // RelativeRatio returns mean(predicted/actual), the paper's headline
 // presentation ("closer to 1 is better", Fig. 6/9–12). Targets must be
 // positive.
@@ -50,18 +40,6 @@ func MeanRelativeError(pred, actual []float64) float64 {
 	return s / float64(len(pred))
 }
 
-// MaxRelativeError returns max(|predicted − actual| / actual).
-func MaxRelativeError(pred, actual []float64) float64 {
-	mustSameLen(pred, actual)
-	var m float64
-	for i, p := range pred {
-		if r := math.Abs(p-actual[i]) / actual[i]; r > m {
-			m = r
-		}
-	}
-	return m
-}
-
 // MAPE returns the mean absolute percentage error,
 // mean(|predicted − actual| / actual) — the leaderboard's ranking metric.
 // Unlike MeanRelativeError it refuses non-positive targets instead of
@@ -79,28 +57,6 @@ func MAPE(pred, actual []float64) (float64, error) {
 		s += math.Abs(p-actual[i]) / actual[i]
 	}
 	return s / float64(len(pred)), nil
-}
-
-// R2 returns the coefficient of determination.
-func R2(pred, actual []float64) float64 {
-	mustSameLen(pred, actual)
-	var mean float64
-	for _, a := range actual {
-		mean += a
-	}
-	mean /= float64(len(actual))
-	var ssRes, ssTot float64
-	for i, p := range pred {
-		ssRes += (actual[i] - p) * (actual[i] - p)
-		ssTot += (actual[i] - mean) * (actual[i] - mean)
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - ssRes/ssTot
 }
 
 func mustSameLen(pred, actual []float64) {

@@ -1,9 +1,13 @@
 // Package regress implements the regression algorithms PredictDDL's
-// Inference Engine chooses between (§III-C, §IV-B2): generalized linear
-// (ridge) regression, second-order polynomial regression, ε-support-vector
-// regression with linear and RBF kernels, and a small multi-layer-perceptron
-// regressor — plus feature scaling, train/test splitting, grid search, and
-// the error metrics the paper reports.
+// Inference Engine chooses between. Five families come from the paper
+// (§III-C, §IV-B2): generalized linear (ridge) regression, second-order
+// polynomial regression, ε-support-vector regression with linear and RBF
+// kernels, and a small multi-layer-perceptron regressor. Three more enter
+// the backend leaderboard beside them: distance-weighted k-nearest
+// neighbors, gradient-boosted stumps, and the analytic roofline floor. The
+// registry (Backends) serves all eight by name. The package also holds
+// feature scaling, train/test and k-fold splitting, grid search, and the
+// error metrics the paper reports.
 //
 // All models implement Regressor. Fit never mutates its inputs; Predict is
 // safe for concurrent use after Fit returns.

@@ -34,9 +34,6 @@ func NewRoofline() *RooflineRegressor { return &RooflineRegressor{} }
 // Name implements Regressor.
 func (m *RooflineRegressor) Name() string { return "roofline" }
 
-// Scale reports the fitted calibration factor (0 before Fit).
-func (m *RooflineRegressor) Scale() float64 { return m.scale }
-
 // analyticIdx caches the schema positions the roofline reads. Resolved by
 // name once so a schema reordering cannot silently misroute a feature.
 var analyticIdx = struct {

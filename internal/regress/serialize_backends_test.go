@@ -29,8 +29,8 @@ func TestKNNRoundTrip(t *testing.T) {
 	if back.Name() != "knn" {
 		t.Fatalf("name = %q", back.Name())
 	}
-	if got := back.(*KNNRegressor); got.ChosenK() != m.ChosenK() || got.LocalLinear != m.LocalLinear {
-		t.Fatalf("loaded knn k=%d local=%v, want k=%d local=%v", got.ChosenK(), got.LocalLinear, m.ChosenK(), m.LocalLinear)
+	if got := back.(*KNNRegressor); got.chosenK != m.chosenK || got.LocalLinear != m.LocalLinear {
+		t.Fatalf("loaded knn k=%d local=%v, want k=%d local=%v", got.chosenK, got.LocalLinear, m.chosenK, m.LocalLinear)
 	}
 	assertSamePredictions(t, m, back, x)
 }
@@ -50,8 +50,8 @@ func TestGBStumpsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	back := roundTrip(t, m)
-	if got := back.(*GradientBoostedStumps); got.NumStumps() != m.NumStumps() {
-		t.Fatalf("loaded %d stumps, want %d", got.NumStumps(), m.NumStumps())
+	if got := back.(*GradientBoostedStumps); len(got.stumps) != len(m.stumps) {
+		t.Fatalf("loaded %d stumps, want %d", len(got.stumps), len(m.stumps))
 	}
 	assertSamePredictions(t, m, back, x)
 }
@@ -63,8 +63,8 @@ func TestRooflineRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	back := roundTrip(t, m)
-	if got := back.(*RooflineRegressor); got.Scale() != m.Scale() {
-		t.Fatalf("scale %v != %v after round trip", got.Scale(), m.Scale())
+	if got := back.(*RooflineRegressor); got.scale != m.scale {
+		t.Fatalf("scale %v != %v after round trip", got.scale, m.scale)
 	}
 	assertSamePredictions(t, m, back, x)
 }

@@ -194,14 +194,3 @@ func (s *SVR) Predict(features []float64) (float64, error) {
 	}
 	return out*s.yStd + s.yMean, nil
 }
-
-// NumSupportVectors counts training points with non-zero dual coefficients.
-func (s *SVR) NumSupportVectors() int {
-	var c int
-	for _, b := range s.beta {
-		if b != 0 {
-			c++
-		}
-	}
-	return c
-}

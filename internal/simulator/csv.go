@@ -9,7 +9,7 @@ import (
 	"predictddl/internal/cluster"
 )
 
-// csvHeader is the fixed column layout for campaign persistence. The
+// csvHeader is the fixed column layout of a campaign export. The
 // cluster-feature columns carry the cluster.FeatureNames() vector.
 func csvHeader() []string {
 	base := []string{
@@ -20,9 +20,8 @@ func csvHeader() []string {
 	return append(base, cluster.FeatureNames()...)
 }
 
-// WriteCSV persists campaign points so expensive measurement campaigns can
-// be collected once and reused across sessions (the paper's execution data
-// plays the same role).
+// WriteCSV exports campaign points, one row per measurement, for analysis
+// outside the program (ddlbench -dump-campaign).
 func WriteCSV(w io.Writer, points []DataPoint) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader()); err != nil {
@@ -51,78 +50,4 @@ func WriteCSV(w io.Writer, points []DataPoint) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV loads campaign points written by WriteCSV.
-func ReadCSV(r io.Reader) ([]DataPoint, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("simulator: csv header: %w", err)
-	}
-	want := csvHeader()
-	if len(header) != len(want) {
-		return nil, fmt.Errorf("simulator: csv has %d columns, want %d", len(header), len(want))
-	}
-	for i := range want {
-		if header[i] != want[i] {
-			return nil, fmt.Errorf("simulator: csv column %d is %q, want %q", i, header[i], want[i])
-		}
-	}
-	var points []DataPoint
-	for row := 1; ; row++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("simulator: csv row %d: %w", row, err)
-		}
-		p, err := pointFromRecord(rec)
-		if err != nil {
-			return nil, fmt.Errorf("simulator: csv row %d: %w", row, err)
-		}
-		points = append(points, p)
-	}
-	return points, nil
-}
-
-func pointFromRecord(rec []string) (DataPoint, error) {
-	var p DataPoint
-	var err error
-	p.Model, p.Dataset, p.ServerSpecName = rec[0], rec[1], rec[3]
-	if p.NumServers, err = strconv.Atoi(rec[2]); err != nil {
-		return p, fmt.Errorf("num_servers: %w", err)
-	}
-	if p.BatchPerServer, err = strconv.Atoi(rec[4]); err != nil {
-		return p, fmt.Errorf("batch_per_server: %w", err)
-	}
-	if p.Epochs, err = strconv.Atoi(rec[5]); err != nil {
-		return p, fmt.Errorf("epochs: %w", err)
-	}
-	if p.NumLayers, err = strconv.Atoi(rec[6]); err != nil {
-		return p, fmt.Errorf("num_layers: %w", err)
-	}
-	if p.NumParams, err = strconv.ParseInt(rec[7], 10, 64); err != nil {
-		return p, fmt.Errorf("num_params: %w", err)
-	}
-	if p.FLOPs, err = strconv.ParseInt(rec[8], 10, 64); err != nil {
-		return p, fmt.Errorf("flops: %w", err)
-	}
-	if p.NumNodes, err = strconv.Atoi(rec[9]); err != nil {
-		return p, fmt.Errorf("num_nodes: %w", err)
-	}
-	if p.Seconds, err = strconv.ParseFloat(rec[10], 64); err != nil {
-		return p, fmt.Errorf("seconds: %w", err)
-	}
-	if p.Seconds <= 0 {
-		return p, fmt.Errorf("non-positive seconds %g", p.Seconds)
-	}
-	p.ClusterFeatures = make([]float64, len(rec)-11)
-	for i, s := range rec[11:] {
-		if p.ClusterFeatures[i], err = strconv.ParseFloat(s, 64); err != nil {
-			return p, fmt.Errorf("cluster feature %d: %w", i, err)
-		}
-	}
-	return p, nil
 }

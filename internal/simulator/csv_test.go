@@ -2,6 +2,8 @@ package simulator
 
 import (
 	"bytes"
+	"encoding/csv"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -24,22 +26,36 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, points); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
+	recs, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(points) {
-		t.Fatalf("got %d points, want %d", len(back), len(points))
+	if len(recs) != len(points)+1 {
+		t.Fatalf("got %d rows, want a header and %d points", len(recs), len(points))
 	}
-	for i := range points {
-		a, b := points[i], back[i]
-		if a.Model != b.Model || a.NumServers != b.NumServers || a.Seconds != b.Seconds ||
-			a.NumParams != b.NumParams || a.FLOPs != b.FLOPs || a.NumLayers != b.NumLayers {
-			t.Fatalf("point %d differs: %+v vs %+v", i, a, b)
+	col := map[string]int{}
+	for j, name := range recs[0] {
+		col[name] = j
+	}
+	first := col[cluster.FeatureNames()[0]]
+	for i, p := range points {
+		rec := recs[i+1]
+		want := []string{p.Model, strconv.Itoa(p.NumServers), strconv.Itoa(p.NumLayers),
+			strconv.FormatInt(p.NumParams, 10), strconv.FormatInt(p.FLOPs, 10)}
+		for j, name := range []string{"model", "num_servers", "num_layers", "num_params", "flops"} {
+			if rec[col[name]] != want[j] {
+				t.Fatalf("point %d %s = %q, want %q", i, name, rec[col[name]], want[j])
+			}
 		}
-		for j := range a.ClusterFeatures {
-			if a.ClusterFeatures[j] != b.ClusterFeatures[j] {
-				t.Fatalf("point %d feature %d differs", i, j)
+		// Floats must survive the text form to the bit.
+		floats := append([]float64{p.Seconds}, p.ClusterFeatures...)
+		cells := append([]string{rec[col["seconds"]]}, rec[first:]...)
+		if len(cells) != len(floats) {
+			t.Fatalf("point %d has %d float cells, want %d", i, len(cells), len(floats))
+		}
+		for j, cell := range cells {
+			if got, err := strconv.ParseFloat(cell, 64); err != nil || got != floats[j] {
+				t.Fatalf("point %d float %d reads back as %v (%v), want %v", i, j, got, err, floats[j])
 			}
 		}
 	}
@@ -50,40 +66,14 @@ func TestCSVEmptyCampaign(t *testing.T) {
 	if err := WriteCSV(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 0 {
-		t.Fatalf("got %d points", len(back))
+	if got := strings.Count(buf.String(), "\n"); got != 1 {
+		t.Fatalf("empty campaign wrote %d lines, want the header alone", got)
 	}
 }
 
 func TestCSVRejectsBadInputs(t *testing.T) {
-	// Wrong feature width on write.
 	bad := []DataPoint{{Model: "m", Seconds: 1, ClusterFeatures: []float64{1}}}
 	if err := WriteCSV(&bytes.Buffer{}, bad); err == nil {
 		t.Fatal("short feature vector accepted")
-	}
-	// Garbage on read.
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Fatal("empty stream accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,b,c\n1,2,3\n")); err == nil {
-		t.Fatal("wrong header accepted")
-	}
-	// Right header, malformed row.
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String() + "resnet18,cifar10,notanint,spec,128,10,1,1,1,1,1,1,1,1,1,1,1,1,1\n"
-	if _, err := ReadCSV(strings.NewReader(s)); err == nil {
-		t.Fatal("malformed row accepted")
-	}
-	// Non-positive seconds rejected.
-	row := "resnet18,cifar10,1,spec,128,10,1,1,1,1,0,1,1,1,1,1,1,1,1\n"
-	if _, err := ReadCSV(strings.NewReader(buf.String() + row)); err == nil {
-		t.Fatal("zero seconds accepted")
 	}
 }

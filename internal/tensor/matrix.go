@@ -5,16 +5,13 @@
 // need — and has no dependencies beyond the standard library.
 //
 // All operations are deterministic. Functions that can fail due to shape
-// mismatches return errors; the Must* variants panic and are intended for
-// statically known shapes (e.g. network layer wiring).
+// mismatches return errors; the kernels wired to statically known shapes
+// (network layers) panic instead.
 package tensor
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"strings"
-	"sync"
 )
 
 // Matrix is a dense row-major matrix of float64 values.
@@ -43,31 +40,6 @@ func NewMatrixFrom(rows, cols int, data []float64) (*Matrix, error) {
 	m := NewMatrix(rows, cols)
 	copy(m.data, data)
 	return m, nil
-}
-
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("tensor: ragged rows: row 0 has %d cols, row %d has %d", cols, i, len(r))
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -133,13 +105,6 @@ func (m *Matrix) Col(j int) []float64 {
 // matrix.
 func (m *Matrix) Data() []float64 { return m.data }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
 // Zero resets all elements to zero, preserving shape.
 func (m *Matrix) Zero() {
 	for i := range m.data {
@@ -152,167 +117,6 @@ func (m *Matrix) Fill(v float64) {
 	for i := range m.data {
 		m.data[i] = v
 	}
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.data[j*t.cols+i] = v
-		}
-	}
-	return t
-}
-
-// matMulBlockK is the number of b rows a kernel pass keeps hot: a
-// 128 x 128 float64 panel is 128 KiB, comfortably inside L2, so every row
-// of the output chunk re-reads the panel from cache instead of memory.
-const matMulBlockK = 128
-
-// matMulParallelFlops is the work threshold (multiply-adds) above which
-// MatMul fans out across GOMAXPROCS row partitions. Small products are
-// cheaper on one core than the goroutine handoff.
-const matMulParallelFlops = 1 << 18
-
-// matMulWorkers picks the worker count for an m x k x n product.
-func matMulWorkers(m, k, n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > m {
-		w = m
-	}
-	if w <= 1 || int64(m)*int64(k)*int64(n) < matMulParallelFlops {
-		return 1
-	}
-	return w
-}
-
-// matMulRange computes out rows [i0, i1) of a*b, blocked over k so a panel
-// of b rows stays cache-resident across the chunk, and register-blocked
-// over j: four output columns are accumulated in registers across the whole
-// k panel, so the output row is loaded and stored once per panel instead of
-// once per k, and the four independent accumulator chains hide FP-add
-// latency. Each accumulator is seeded from the output element and sums in
-// ascending k order — identical to the naive ikj kernel — so blocked,
-// serial, and parallel paths are bit-for-bit interchangeable.
-func matMulRange(out, a, b *Matrix, i0, i1 int) {
-	n := b.cols
-	bd := b.data
-	for k0 := 0; k0 < a.cols; k0 += matMulBlockK {
-		k1 := k0 + matMulBlockK
-		if k1 > a.cols {
-			k1 = a.cols
-		}
-		for i := i0; i < i1; i++ {
-			arow := a.Row(i)[k0:k1]
-			orow := out.Row(i)
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				acc0 := orow[j]
-				acc1 := orow[j+1]
-				acc2 := orow[j+2]
-				acc3 := orow[j+3]
-				idx := k0*n + j
-				for _, av := range arow {
-					if av != 0 {
-						acc0 += av * bd[idx]
-						acc1 += av * bd[idx+1]
-						acc2 += av * bd[idx+2]
-						acc3 += av * bd[idx+3]
-					}
-					idx += n
-				}
-				orow[j] = acc0
-				orow[j+1] = acc1
-				orow[j+2] = acc2
-				orow[j+3] = acc3
-			}
-			for ; j < n; j++ {
-				acc := orow[j]
-				idx := k0*n + j
-				for _, av := range arow {
-					if av != 0 {
-						acc += av * bd[idx]
-					}
-					idx += n
-				}
-				orow[j] = acc
-			}
-		}
-	}
-}
-
-// matMulDispatch accumulates a*b into out (which must be zeroed), running
-// the blocked kernel on row partitions across workers when the product is
-// large enough. Row partitioning keeps results bit-identical to the serial
-// kernel for any worker count: each output row is owned by exactly one
-// goroutine and computed with the same accumulation order.
-func matMulDispatch(out, a, b *Matrix) {
-	workers := matMulWorkers(a.rows, a.cols, b.cols)
-	if workers <= 1 {
-		matMulRange(out, a, b, 0, a.rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (a.rows + workers - 1) / workers
-	for i0 := 0; i0 < a.rows; i0 += chunk {
-		i1 := i0 + chunk
-		if i1 > a.rows {
-			i1 = a.rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulRange(out, a, b, lo, hi)
-		}(i0, i1)
-	}
-	wg.Wait()
-}
-
-// sharesStorage reports whether two matrices are backed by the same array.
-func sharesStorage(x, y *Matrix) bool {
-	return len(x.data) > 0 && len(y.data) > 0 && &x.data[0] == &y.data[0]
-}
-
-// MatMul returns a*b, or an error when the inner dimensions disagree. Large
-// products run on a cache-blocked, row-partitioned parallel kernel; the
-// result is bit-identical to the single-threaded one for any GOMAXPROCS.
-func MatMul(a, b *Matrix) (*Matrix, error) {
-	if a.cols != b.rows {
-		return nil, fmt.Errorf("tensor: matmul shape mismatch %dx%d x %dx%d", a.rows, a.cols, b.rows, b.cols)
-	}
-	out := NewMatrix(a.rows, b.cols)
-	matMulDispatch(out, a, b)
-	return out, nil
-}
-
-// MatMulInto computes a*b into dst, reusing dst's storage (steady-state
-// loops avoid reallocating the output every step). dst must already have
-// shape a.Rows x b.Cols and must not alias a or b; its previous contents
-// are discarded.
-func MatMulInto(dst, a, b *Matrix) error {
-	if a.cols != b.rows {
-		return fmt.Errorf("tensor: matmul shape mismatch %dx%d x %dx%d", a.rows, a.cols, b.rows, b.cols)
-	}
-	if dst.rows != a.rows || dst.cols != b.cols {
-		return fmt.Errorf("tensor: matmul dst shape %dx%d, want %dx%d", dst.rows, dst.cols, a.rows, b.cols)
-	}
-	if sharesStorage(dst, a) || sharesStorage(dst, b) {
-		return fmt.Errorf("tensor: matmul dst must not alias an operand")
-	}
-	dst.Zero()
-	matMulDispatch(dst, a, b)
-	return nil
-}
-
-// MustMatMul is MatMul but panics on shape mismatch.
-func MustMatMul(a, b *Matrix) *Matrix {
-	out, err := MatMul(a, b)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // MulVec returns m*v, or an error when len(v) != Cols.
@@ -346,61 +150,11 @@ func (m *Matrix) MulVecT(v []float64) ([]float64, error) {
 	return out, nil
 }
 
-// AddInPlace adds other element-wise into m.
-func (m *Matrix) AddInPlace(other *Matrix) error {
-	if m.rows != other.rows || m.cols != other.cols {
-		return fmt.Errorf("tensor: add shape mismatch %dx%d vs %dx%d", m.rows, m.cols, other.rows, other.cols)
-	}
-	for i, v := range other.data {
-		m.data[i] += v
-	}
-	return nil
-}
-
 // ScaleInPlace multiplies every element by s.
 func (m *Matrix) ScaleInPlace(s float64) {
 	for i := range m.data {
 		m.data[i] *= s
 	}
-}
-
-// AddScaled adds s*other element-wise into m (axpy).
-func (m *Matrix) AddScaled(other *Matrix, s float64) error {
-	if m.rows != other.rows || m.cols != other.cols {
-		return fmt.Errorf("tensor: addscaled shape mismatch %dx%d vs %dx%d", m.rows, m.cols, other.rows, other.cols)
-	}
-	for i, v := range other.data {
-		m.data[i] += s * v
-	}
-	return nil
-}
-
-// Apply replaces each element x with f(x).
-func (m *Matrix) Apply(f func(float64) float64) {
-	for i, v := range m.data {
-		m.data[i] = f(v)
-	}
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for an empty
-// matrix.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // String renders the matrix for debugging; large matrices are elided.

@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -30,22 +29,6 @@ func TestNewMatrixFromLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestFromRowsRagged(t *testing.T) {
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Fatal("expected error for ragged rows")
-	}
-}
-
-func TestFromRowsEmpty(t *testing.T) {
-	m, err := FromRows(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows() != 0 || m.Cols() != 0 {
-		t.Fatalf("shape = %dx%d, want 0x0", m.Rows(), m.Cols())
-	}
-}
-
 func TestSetAtRoundTrip(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(1, 2, 7.5)
@@ -67,56 +50,6 @@ func TestAtOutOfRangePanics(t *testing.T) {
 	NewMatrix(2, 2).At(2, 0)
 }
 
-func TestMatMulKnown(t *testing.T) {
-	a, _ := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	b, _ := NewMatrixFrom(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c, err := MatMul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{58, 64}, {139, 154}}
-	for i := range want {
-		for j := range want[i] {
-			if c.At(i, j) != want[i][j] {
-				t.Fatalf("c[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestMatMulShapeMismatch(t *testing.T) {
-	if _, err := MatMul(NewMatrix(2, 3), NewMatrix(2, 3)); err == nil {
-		t.Fatal("expected shape mismatch error")
-	}
-}
-
-func TestIdentityIsMatMulNeutral(t *testing.T) {
-	rng := NewRNG(1)
-	a := rng.GlorotMatrix(5, 5)
-	ia := MustMatMul(Identity(5), a)
-	ai := MustMatMul(a, Identity(5))
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			if !almostEqual(ia.At(i, j), a.At(i, j), 1e-12) || !almostEqual(ai.At(i, j), a.At(i, j), 1e-12) {
-				t.Fatalf("identity not neutral at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	rng := NewRNG(2)
-	a := rng.GlorotMatrix(4, 7)
-	tt := a.T().T()
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 7; j++ {
-			if tt.At(i, j) != a.At(i, j) {
-				t.Fatalf("(Aᵀ)ᵀ != A at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestMulVecMatchesMatMul(t *testing.T) {
 	rng := NewRNG(3)
 	a := rng.GlorotMatrix(4, 6)
@@ -126,11 +59,13 @@ func TestMulVecMatchesMatMul(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, _ := NewMatrixFrom(6, 1, v)
-	want := MustMatMul(a, col)
 	for i := range got {
-		if !almostEqual(got[i], want.At(i, 0), 1e-12) {
-			t.Fatalf("MulVec[%d] = %v, want %v", i, got[i], want.At(i, 0))
+		var want float64
+		for j, x := range v {
+			want += a.At(i, j) * x
+		}
+		if !almostEqual(got[i], want, 1e-12) {
+			t.Fatalf("MulVec[%d] = %v, want %v", i, got[i], want)
 		}
 	}
 }
@@ -144,13 +79,13 @@ func TestMulVecTMatchesTransposeMulVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := a.T().MulVec(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("MulVecT[%d] = %v, want %v", i, got[i], want[i])
+	for j := range got {
+		var want float64
+		for i, x := range v {
+			want += a.At(i, j) * x
+		}
+		if !almostEqual(got[j], want, 1e-12) {
+			t.Fatalf("MulVecT[%d] = %v, want %v", j, got[j], want)
 		}
 	}
 }
@@ -163,93 +98,11 @@ func TestRowIsAliased(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	m := NewMatrix(2, 2)
-	c := m.Clone()
-	c.Set(0, 0, 5)
-	if m.At(0, 0) != 0 {
-		t.Fatal("Clone must not alias original storage")
-	}
-}
-
-func TestAddScaledAndScaleInPlace(t *testing.T) {
-	a, _ := NewMatrixFrom(1, 2, []float64{1, 2})
-	b, _ := NewMatrixFrom(1, 2, []float64{10, 20})
-	if err := a.AddScaled(b, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if a.At(0, 0) != 6 || a.At(0, 1) != 12 {
-		t.Fatalf("AddScaled got %v", a.Row(0))
-	}
+func TestScaleInPlace(t *testing.T) {
+	a, _ := NewMatrixFrom(1, 2, []float64{6, 12})
 	a.ScaleInPlace(2)
 	if a.At(0, 0) != 12 || a.At(0, 1) != 24 {
 		t.Fatalf("ScaleInPlace got %v", a.Row(0))
-	}
-}
-
-func TestApplyAndNorms(t *testing.T) {
-	m, _ := NewMatrixFrom(2, 2, []float64{3, 0, 0, -4})
-	if got := m.FrobeniusNorm(); !almostEqual(got, 5, 1e-12) {
-		t.Fatalf("FrobeniusNorm = %v, want 5", got)
-	}
-	if got := m.MaxAbs(); got != 4 {
-		t.Fatalf("MaxAbs = %v, want 4", got)
-	}
-	m.Apply(func(x float64) float64 { return x * x })
-	if m.At(1, 1) != 16 {
-		t.Fatalf("Apply got %v", m.At(1, 1))
-	}
-}
-
-// Property: matmul distributes over addition, (A+B)C = AC + BC.
-func TestMatMulDistributesProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := NewRNG(seed)
-		a := rng.GlorotMatrix(3, 4)
-		b := rng.GlorotMatrix(3, 4)
-		c := rng.GlorotMatrix(4, 2)
-		sum := a.Clone()
-		if err := sum.AddInPlace(b); err != nil {
-			return false
-		}
-		left := MustMatMul(sum, c)
-		right := MustMatMul(a, c)
-		if err := right.AddInPlace(MustMatMul(b, c)); err != nil {
-			return false
-		}
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 2; j++ {
-				if !almostEqual(left.At(i, j), right.At(i, j), 1e-9) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: (AB)ᵀ = BᵀAᵀ.
-func TestMatMulTransposeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := NewRNG(seed)
-		a := rng.GlorotMatrix(3, 5)
-		b := rng.GlorotMatrix(5, 2)
-		left := MustMatMul(a, b).T()
-		right := MustMatMul(b.T(), a.T())
-		for i := 0; i < left.Rows(); i++ {
-			for j := 0; j < left.Cols(); j++ {
-				if !almostEqual(left.At(i, j), right.At(i, j), 1e-9) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

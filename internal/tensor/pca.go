@@ -3,7 +3,6 @@ package tensor
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // PCA projects row vectors onto their top principal components, computed
@@ -13,7 +12,6 @@ import (
 type PCA struct {
 	mean       []float64
 	components *Matrix // k x d, rows are unit-norm principal directions
-	variances  []float64
 }
 
 // FitPCA computes the top-k principal components of x's rows. It requires
@@ -50,7 +48,6 @@ func FitPCA(x *Matrix, k int) (*PCA, error) {
 	cov.ScaleInPlace(1 / float64(n-1))
 
 	p.components = NewMatrix(k, d)
-	p.variances = make([]float64, k)
 	rng := NewRNG(1)
 	for comp := 0; comp < k; comp++ {
 		v := make([]float64, d)
@@ -78,7 +75,6 @@ func FitPCA(x *Matrix, k int) (*PCA, error) {
 			}
 		}
 		p.components.SetRow(comp, v)
-		p.variances[comp] = lambda
 		// Deflate: cov -= λ v vᵀ.
 		for a := 0; a < d; a++ {
 			row := cov.Row(a)
@@ -100,12 +96,6 @@ func normalize(v []float64) {
 	}
 }
 
-// Components returns the number of fitted principal directions.
-func (p *PCA) Components() int { return p.components.Rows() }
-
-// ExplainedVariance returns a copy of the per-component variances.
-func (p *PCA) ExplainedVariance() []float64 { return CloneVec(p.variances) }
-
 // Transform projects one vector onto the principal components.
 func (p *PCA) Transform(v []float64) []float64 {
 	if len(v) != len(p.mean) {
@@ -117,23 +107,4 @@ func (p *PCA) Transform(v []float64) []float64 {
 		out[i] = Dot(p.components.Row(i), c)
 	}
 	return out
-}
-
-// TransformMatrix projects every row of x.
-func (p *PCA) TransformMatrix(x *Matrix) *Matrix {
-	out := NewMatrix(x.Rows(), p.Components())
-	for i := 0; i < x.Rows(); i++ {
-		out.SetRow(i, p.Transform(x.Row(i)))
-	}
-	return out
-}
-
-// sanity guard referenced by tests: ensure float ops stay finite.
-func isFiniteVec(v []float64) bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
 }

@@ -6,6 +6,24 @@ import (
 	"testing/quick"
 )
 
+// projectedVariances returns the sample variance of x's rows along each
+// fitted component.
+func projectedVariances(p *PCA, x *Matrix) []float64 {
+	k := p.components.Rows()
+	coords := make([][]float64, k)
+	for i := 0; i < x.Rows(); i++ {
+		for c, v := range p.Transform(x.Row(i)) {
+			coords[c] = append(coords[c], v)
+		}
+	}
+	vars := make([]float64, k)
+	for c := range vars {
+		sd := Std(coords[c])
+		vars[c] = sd * sd
+	}
+	return vars
+}
+
 func TestPCARecoversDominantDirection(t *testing.T) {
 	// Points along (1,1)/√2 with small orthogonal noise: PC1 must align
 	// with the diagonal.
@@ -26,7 +44,7 @@ func TestPCARecoversDominantDirection(t *testing.T) {
 	if align < 0.999 {
 		t.Fatalf("PC1 alignment with diagonal = %v", align)
 	}
-	vars := p.ExplainedVariance()
+	vars := projectedVariances(p, x)
 	if vars[0] < 50*vars[1] {
 		t.Fatalf("variance ratio too small: %v", vars)
 	}
@@ -54,12 +72,10 @@ func TestPCATransformShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Components() != 3 {
-		t.Fatalf("components = %d", p.Components())
-	}
-	out := p.TransformMatrix(x)
-	if out.Rows() != 20 || out.Cols() != 3 {
-		t.Fatalf("shape %dx%d", out.Rows(), out.Cols())
+	for i := 0; i < x.Rows(); i++ {
+		if out := p.Transform(x.Row(i)); len(out) != 3 {
+			t.Fatalf("row %d projected to %d coordinates, want 3", i, len(out))
+		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -88,7 +104,7 @@ func TestPCAOrthonormalProperty(t *testing.T) {
 		}
 		for a := 0; a < 3; a++ {
 			va := p.components.Row(a)
-			if !isFiniteVec(va) || math.Abs(Norm(va)-1) > 1e-6 {
+			if !(math.Abs(Norm(va)-1) <= 1e-6) { // also false for NaN/Inf
 				return false
 			}
 			for b := a + 1; b < 3; b++ {
@@ -98,7 +114,7 @@ func TestPCAOrthonormalProperty(t *testing.T) {
 			}
 		}
 		// Variances are non-increasing.
-		vars := p.ExplainedVariance()
+		vars := projectedVariances(p, x)
 		for i := 1; i < len(vars); i++ {
 			if vars[i] > vars[i-1]+1e-9 {
 				return false

@@ -70,79 +70,6 @@ func cholesky(a *Matrix) (*Matrix, error) {
 	return l, nil
 }
 
-// LeastSquares solves min ‖A x − b‖₂ via QR decomposition with Householder
-// reflections. A must have Rows >= Cols; A and b are not modified.
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	m, n := a.rows, a.cols
-	if m < n {
-		return nil, fmt.Errorf("tensor: least squares needs rows >= cols, got %dx%d", m, n)
-	}
-	if len(b) != m {
-		return nil, fmt.Errorf("tensor: rhs length %d != rows %d", len(b), m)
-	}
-	r := a.Clone()
-	qtb := CloneVec(b)
-	// Householder QR, applying reflectors to qtb as we go.
-	for k := 0; k < n; k++ {
-		// Build reflector for column k below the diagonal.
-		var norm float64
-		for i := k; i < m; i++ {
-			norm += r.At(i, k) * r.At(i, k)
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			return nil, ErrSingular
-		}
-		alpha := -norm
-		if r.At(k, k) < 0 {
-			alpha = norm
-		}
-		v := make([]float64, m-k)
-		v[0] = r.At(k, k) - alpha
-		for i := k + 1; i < m; i++ {
-			v[i-k] = r.At(i, k)
-		}
-		vnorm2 := Dot(v, v)
-		if vnorm2 == 0 {
-			continue
-		}
-		// Apply H = I − 2vvᵀ/vᵀv to the trailing submatrix of r.
-		for j := k; j < n; j++ {
-			var s float64
-			for i := k; i < m; i++ {
-				s += v[i-k] * r.At(i, j)
-			}
-			s = 2 * s / vnorm2
-			for i := k; i < m; i++ {
-				r.Add(i, j, -s*v[i-k])
-			}
-		}
-		// Apply H to qtb.
-		var s float64
-		for i := k; i < m; i++ {
-			s += v[i-k] * qtb[i]
-		}
-		s = 2 * s / vnorm2
-		for i := k; i < m; i++ {
-			qtb[i] -= s * v[i-k]
-		}
-	}
-	// Back substitution on the upper-triangular R.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		d := r.At(i, i)
-		if math.Abs(d) < 1e-12 {
-			return nil, ErrSingular
-		}
-		s := qtb[i]
-		for j := i + 1; j < n; j++ {
-			s -= r.At(i, j) * x[j]
-		}
-		x[i] = s / d
-	}
-	return x, nil
-}
-
 // RidgeSolve solves the L2-regularized least-squares problem
 // min ‖A x − b‖² + λ‖x‖² through the normal equations
 // (AᵀA + λI) x = Aᵀ b, which are SPD for λ > 0.

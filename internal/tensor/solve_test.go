@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -28,46 +27,6 @@ func TestCholeskySolveRejectsIndefinite(t *testing.T) {
 	a, _ := NewMatrixFrom(2, 2, []float64{0, 1, 1, 0})
 	if _, err := CholeskySolve(a, []float64{1, 1}); err == nil {
 		t.Fatal("expected ErrSingular for indefinite matrix")
-	}
-}
-
-func TestLeastSquaresExactSystem(t *testing.T) {
-	// Square full-rank system must be solved exactly.
-	a, _ := NewMatrixFrom(3, 3, []float64{2, 0, 0, 0, 3, 0, 0, 0, 4})
-	x, err := LeastSquares(a, []float64{2, 6, 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if !almostEqual(x[i], want[i], 1e-10) {
-			t.Fatalf("x = %v, want %v", x, want)
-		}
-	}
-}
-
-func TestLeastSquaresOverdetermined(t *testing.T) {
-	// Fit y = 2x + 1 from noiseless samples; the LS fit must recover it.
-	xs := []float64{0, 1, 2, 3, 4}
-	a := NewMatrix(len(xs), 2)
-	b := make([]float64, len(xs))
-	for i, x := range xs {
-		a.Set(i, 0, 1)
-		a.Set(i, 1, x)
-		b[i] = 2*x + 1
-	}
-	coef, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(coef[0], 1, 1e-9) || !almostEqual(coef[1], 2, 1e-9) {
-		t.Fatalf("coef = %v, want [1 2]", coef)
-	}
-}
-
-func TestLeastSquaresUnderdeterminedRejected(t *testing.T) {
-	if _, err := LeastSquares(NewMatrix(2, 3), []float64{1, 2}); err == nil {
-		t.Fatal("expected error for rows < cols")
 	}
 }
 
@@ -118,8 +77,11 @@ func TestCholeskySolveResidualProperty(t *testing.T) {
 		rng := NewRNG(seed)
 		n := 2 + rng.Intn(6)
 		g := rng.GlorotMatrix(n+2, n)
-		a := MustMatMul(g.T(), g) // Gram matrix: SPD w.h.p.
+		a := NewMatrix(n, n) // Gram matrix gᵀg: SPD w.h.p.
 		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, Dot(g.Col(i), g.Col(j)))
+			}
 			a.Add(i, i, 0.1)
 		}
 		b := make([]float64, n)
@@ -139,53 +101,20 @@ func TestCholeskySolveResidualProperty(t *testing.T) {
 	}
 }
 
-// Property: the least-squares residual is orthogonal to the column space.
-func TestLeastSquaresOrthogonalResidualProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := NewRNG(seed)
-		a := rng.GlorotMatrix(12, 4)
-		b := make([]float64, 12)
-		rng.FillNormal(b, 0, 1)
-		x, err := LeastSquares(a, b)
-		if err != nil {
-			return false
-		}
-		ax, _ := a.MulVec(x)
-		resid := SubVec(b, ax)
-		proj, _ := a.MulVecT(resid) // Aᵀ r must be ≈ 0
-		return Norm(proj) < 1e-7
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLeastSquaresSingularColumn(t *testing.T) {
-	a := NewMatrix(4, 2) // first column all zeros
-	for i := 0; i < 4; i++ {
-		a.Set(i, 1, float64(i+1))
-	}
-	if _, err := LeastSquares(a, []float64{1, 2, 3, 4}); err == nil {
-		t.Fatal("expected singularity error for zero column")
-	}
-}
-
+// At λ→0 ridge must solve the plain least-squares problem, whose solution is
+// the one whose residual is orthogonal to A's column space (Aᵀ(b − Ax) = 0).
 func TestRidgeMatchesLeastSquaresAtTinyLambda(t *testing.T) {
 	rng := NewRNG(11)
 	a := rng.GlorotMatrix(20, 3)
 	b := make([]float64, 20)
 	rng.FillNormal(b, 0, 1)
-	ls, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rr, err := RidgeSolve(a, b, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ls {
-		if math.Abs(ls[i]-rr[i]) > 1e-5 {
-			t.Fatalf("ridge(λ→0) diverges from LS at %d: %v vs %v", i, rr[i], ls[i])
-		}
+	ax, _ := a.MulVec(rr)
+	proj, _ := a.MulVecT(SubVec(b, ax))
+	if n := Norm(proj); n > 1e-7 {
+		t.Fatalf("ridge(λ→0) residual is not orthogonal to the column space: ‖Aᵀr‖ = %v", n)
 	}
 }

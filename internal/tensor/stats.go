@@ -28,54 +28,3 @@ func Std(v []float64) float64 {
 	}
 	return math.Sqrt(s / float64(len(v)))
 }
-
-// Min returns the smallest element of v; it panics on an empty slice.
-func Min(v []float64) float64 {
-	if len(v) == 0 {
-		panic("tensor: Min of empty slice")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of v; it panics on an empty slice.
-func Max(v []float64) float64 {
-	if len(v) == 0 {
-		panic("tensor: Max of empty slice")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of v.
-func Sum(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// ArgMax returns the index of the largest element, or -1 for an empty slice.
-func ArgMax(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range v {
-		if x > v[best] {
-			best = i
-		}
-	}
-	return best
-}

@@ -28,18 +28,6 @@ func Norm(v []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// AddVec returns a+b as a new slice.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: addvec length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = v + b[i]
-	}
-	return out
-}
-
 // SubVec returns a-b as a new slice.
 func SubVec(a, b []float64) []float64 {
 	if len(a) != len(b) {
@@ -48,15 +36,6 @@ func SubVec(a, b []float64) []float64 {
 	out := make([]float64, len(a))
 	for i, v := range a {
 		out[i] = v - b[i]
-	}
-	return out
-}
-
-// ScaleVec returns s*v as a new slice.
-func ScaleVec(v []float64, s float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = s * x
 	}
 	return out
 }
