@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet ddlvet vetbench benchcheck bench loadbench leaderboard smoke cover fuzz verify
+.PHONY: all build fmt test race vet ddlvet vetbench benchcheck bench loadbench leaderboard smoke cover fuzz verify
 
 all: verify
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing the files, when anything in the tree is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # Project-specific determinism/concurrency checks (DESIGN.md §7, §11);
 # exits non-zero on any non-suppressed diagnostic.
@@ -91,15 +95,17 @@ cover:
 	./scripts/cover.sh 80 $(COVER_FROM)
 
 # Short fuzz pass over every target: the request decoders behind
-# /v1/predict and /v1/predict/batch, the collector's wire-frame codec, and
-# the regressor-checkpoint decoder. CI runs this; long exploratory sessions
+# /v1/predict and /v1/predict/batch, graph.Spec's hand-written decoder
+# against encoding/json's, the collector's wire-frame codec, and the
+# regressor-checkpoint decoder. CI runs this; long exploratory sessions
 # use `go test -fuzz` directly.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPredictRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzBatchRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSpecUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/regress -run '^$$' -fuzz FuzzLoadRegressor -fuzztime $(FUZZTIME)
 
 verify: COVER_FROM = $(TEST_OUT)
-verify: vet build ddlvet test benchcheck race smoke cover loadbench leaderboard
+verify: fmt vet build ddlvet test benchcheck race smoke cover loadbench leaderboard

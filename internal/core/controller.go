@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -355,6 +356,11 @@ func (c *Controller) predictOne(pr PredictRequest, tr *obs.Trace) (resp PredictR
 	secs, err := engine.PredictTraced(g, cl, tr)
 	if err != nil {
 		return resp, http.StatusInternalServerError, err
+	}
+	if math.IsNaN(secs) || math.IsInf(secs, 0) {
+		// JSON cannot carry it: without this the reply is a 200 header and
+		// no body.
+		return resp, http.StatusInternalServerError, fmt.Errorf("core: non-finite prediction %v for dataset %q", secs, pr.Dataset)
 	}
 	model := pr.Model
 	if model == "" {

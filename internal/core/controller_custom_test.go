@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -178,5 +179,88 @@ func TestEngineConcurrentPredict(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// shapedSpec is a valid four-node graph whose conv node has the given
+// output shape.
+func shapedSpec(channels, h, w int) *graph.Spec {
+	return &graph.Spec{
+		Name: "shaped",
+		Nodes: []graph.NodeSpec{
+			{Op: "input", OutChannels: 3, OutH: 8, OutW: 8},
+			{Op: "conv", OutChannels: channels, OutH: h, OutW: w, Params: 108, FLOPs: 6912},
+			{Op: "gap", OutChannels: 4, OutH: 1, OutW: 1},
+			{Op: "output", OutChannels: 4},
+		},
+		Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}},
+	}
+}
+
+// Regression test: a negative shape field used to pass FromSpec, embed as
+// NaN (log1p of a negative) and come back as a 200 header with no body,
+// because NaN has no JSON encoding. It is bad input (400); and a prediction
+// that is non-finite for any other reason — here H×W overflowing int — is a
+// 500 with a message, never an unencodable 200.
+func TestControllerRejectsNonFiniteShapes(t *testing.T) {
+	ctrl := NewController(NewGHNRegistry(), cheapEngine(t))
+	srv := httptest.NewServer(ctrl.Handler())
+	defer srv.Close()
+
+	cases := []struct {
+		name     string
+		spec     *graph.Spec
+		want     int
+		wantText string
+	}{
+		{"zero shape is legal", shapedSpec(4, 0, 0), http.StatusOK, ""},
+		{"out_channels -5", shapedSpec(-5, 8, 8), http.StatusBadRequest, "graph: node 1 has negative shape"},
+		{"out_channels -1", shapedSpec(-1, 8, 8), http.StatusBadRequest, "graph: node 1 has negative shape"},
+		{"out_h -1", shapedSpec(4, -1, 8), http.StatusBadRequest, "graph: node 1 has negative shape"},
+		{"out_w -1", shapedSpec(4, 8, -1), http.StatusBadRequest, "graph: node 1 has negative shape"},
+		{"H×W overflows", shapedSpec(4, 3037000500, 3037000500), http.StatusInternalServerError, "non-finite prediction"},
+	}
+	batch := BatchRequest{Requests: []PredictRequest{{Dataset: "cifar10", Model: "resnet18", NumServers: 2}}}
+	for _, tc := range cases {
+		req := PredictRequest{Dataset: "cifar10", Graph: tc.spec, NumServers: 2}
+		batch.Requests = append(batch.Requests, req)
+		body, _ := json.Marshal(req)
+		resp := postJSON(t, srv.URL+"/v1/predict", body)
+		var reply struct {
+			PredictedSeconds float64 `json:"predicted_seconds"`
+			Error            string  `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+			t.Fatalf("%s: status %d with an undecodable body: %v", tc.name, resp.StatusCode, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || !strings.Contains(reply.Error, tc.wantText) {
+			t.Errorf("%s: %d %q, want %d %q", tc.name, resp.StatusCode, reply.Error, tc.want, tc.wantText)
+		}
+		if (tc.want == http.StatusOK) != (reply.PredictedSeconds != 0) {
+			t.Errorf("%s: status %d with predicted_seconds %v", tc.name, resp.StatusCode, reply.PredictedSeconds)
+		}
+	}
+
+	// The same graphs as items of one batch: the bad ones fail alone.
+	batch.Requests = append(batch.Requests, PredictRequest{Dataset: "cifar10", Model: "vgg11", NumServers: 4})
+	body, _ := json.Marshal(batch)
+	resp := postJSON(t, srv.URL+"/v1/predict/batch", body)
+	defer resp.Body.Close()
+	var br BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, body error %v", resp.StatusCode, err)
+	}
+	if len(br.Results) != len(cases)+2 {
+		t.Fatalf("batch: %d results for %d items", len(br.Results), len(cases)+2)
+	}
+	for i, item := range br.Results {
+		want, wantText := 0, ""
+		if i >= 1 && i <= len(cases) && cases[i-1].want != http.StatusOK {
+			want, wantText = cases[i-1].want, cases[i-1].wantText
+		}
+		if item.Code != want || !strings.Contains(item.Error, wantText) || (want == 0) != (item.PredictedSeconds != 0) {
+			t.Errorf("batch item %d: code %d, error %q, predicted %v; want code %d %q", i, item.Code, item.Error, item.PredictedSeconds, want, wantText)
+		}
 	}
 }

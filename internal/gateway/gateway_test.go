@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +18,9 @@ import (
 	"predictddl/internal/cluster"
 	"predictddl/internal/core"
 	"predictddl/internal/gateway"
+	"predictddl/internal/graph"
 	"predictddl/internal/load"
+	"predictddl/internal/tensor"
 )
 
 // startReplicas stands up n synthetic controllers behind httptest servers,
@@ -708,5 +711,71 @@ func TestGatewayRunStopsOnCancel(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not stop on context cancellation")
+	}
+}
+
+// TestGatewayCustomGraphParity is one edge of the all-routes parity harness
+// (ROADMAP 1(g)): the gateway decodes a custom graph.Spec to route it and,
+// for a batch, marshals it again per shard, so a graph must reach the shard
+// meaning what the client sent. predicted_seconds through the gateway, for a
+// single predict and for the items of a cross-shard batch, has the bits of
+// the owning controller hit directly.
+func TestGatewayCustomGraphParity(t *testing.T) {
+	datasets := ringKeys(24)
+	_, urls := startReplicas(t, 2, datasets...)
+	gw, err := gateway.New(gateway.Options{Replicas: urls, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.CheckNow(context.Background())
+	front := httptest.NewServer(gw.Handler())
+	defer front.Close()
+
+	rng := tensor.NewRNG(16)
+	var reqs []core.PredictRequest
+	var owners []string
+	for i := 0; i < 6; i++ {
+		owner := urls[i%2]
+		owners = append(owners, owner)
+		reqs = append(reqs, core.PredictRequest{
+			Dataset:    datasetOwnedBy(t, gw.Ring(), datasets, owner),
+			Graph:      graph.RandomGraph(rng, graph.DefaultConfig()).Spec(),
+			NumServers: 1 + i,
+		})
+	}
+	predict := func(base string, req core.PredictRequest) float64 {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, reply := postJSON(t, base+"/v1/predict", string(body))
+		var pr core.PredictResponse
+		if err := json.Unmarshal(reply, &pr); err != nil || resp.StatusCode != http.StatusOK || pr.PredictedSeconds == 0 {
+			t.Fatalf("predict via %s = %d %s (err %v)", base, resp.StatusCode, reply, err)
+		}
+		return pr.PredictedSeconds
+	}
+	direct := make([]float64, len(reqs))
+	for i, req := range reqs {
+		direct[i] = predict(owners[i], req)
+		if routed := predict(front.URL, req); math.Float64bits(routed) != math.Float64bits(direct[i]) {
+			t.Errorf("request %d: %v through the gateway, %v from its shard", i, routed, direct[i])
+		}
+	}
+
+	body, err := json.Marshal(core.BatchRequest{Requests: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, reply := postJSON(t, front.URL+"/v1/predict/batch", string(body))
+	var br core.BatchResponse
+	if err := json.Unmarshal(reply, &br); err != nil || resp.StatusCode != http.StatusOK || len(br.Results) != len(reqs) {
+		t.Fatalf("batch = %d, %d results (err %v): %.200s", resp.StatusCode, len(br.Results), err, reply)
+	}
+	for i, item := range br.Results {
+		if item.Error != "" || math.Float64bits(item.PredictedSeconds) != math.Float64bits(direct[i]) {
+			t.Errorf("batch item %d: %v %q through the gateway, %v from its shard", i, item.PredictedSeconds, item.Error, direct[i])
+		}
 	}
 }

@@ -81,6 +81,11 @@ func FromSpec(s *Spec) (*Graph, error) {
 		if ns.Params < 0 || ns.FLOPs < 0 {
 			return nil, fmt.Errorf("graph: node %d has negative costs", i)
 		}
+		// The GHN takes log1p of every shape field (zero is legal, e.g. a
+		// flattened tensor's H and W); a negative one would embed as NaN.
+		if ns.OutChannels < 0 || ns.OutH < 0 || ns.OutW < 0 {
+			return nil, fmt.Errorf("graph: node %d has negative shape", i)
+		}
 		g.AddNode(&Node{
 			Op:          op,
 			Label:       ns.Label,

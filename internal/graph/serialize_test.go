@@ -109,6 +109,13 @@ func TestFromSpecRejectsInvalid(t *testing.T) {
 	if _, err := FromSpec(&Spec{Nodes: []NodeSpec{{Op: "conv", Params: -1}}}); err == nil {
 		t.Fatal("negative params accepted")
 	}
+	// Negative shape, any of the three fields; zero stays legal.
+	for _, ns := range []NodeSpec{{Op: "conv", OutChannels: -1}, {Op: "conv", OutH: -1}, {Op: "conv", OutW: -5}} {
+		_, err := FromSpec(&Spec{Nodes: []NodeSpec{ns}})
+		if err == nil || err.Error() != "graph: node 0 has negative shape" {
+			t.Fatalf("negative shape %+v: err = %v", ns, err)
+		}
+	}
 	// Bad edge index.
 	if _, err := FromSpec(&Spec{
 		Nodes: []NodeSpec{{Op: "input"}, {Op: "output"}},

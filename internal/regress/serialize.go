@@ -157,7 +157,7 @@ func toEnvelope(m Regressor) (*envelope, error) {
 			CandidateKs: append([]int(nil), v.CandidateKs...),
 			LocalLinear: v.LocalLinear, Lambda: v.Lambda,
 			Scaler: snapshotScaler(v.scaler),
-			Rows:        v.x.Rows(), Cols: v.x.Cols(),
+			Rows:   v.x.Rows(), Cols: v.x.Cols(),
 			X: tensor.CloneVec(v.x.Data()), Y: tensor.CloneVec(v.y),
 		})
 		if err != nil {
