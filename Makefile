@@ -49,7 +49,7 @@ benchcheck:
 # records ns/op, allocs/op, p50/p99, and the reference-vs-fast-path
 # speedup ratios for this machine (CI uploads it as an artifact).
 bench: vetbench
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/tensor/ ./internal/ghn/ ./internal/core/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/tensor/ ./internal/ghn/ ./internal/graph/ ./internal/core/
 	$(GO) run ./cmd/ddlbench -bench-embed BENCH_embed.json
 
 # Serving-tier load benchmark (DESIGN.md §12): ddlload stands up an

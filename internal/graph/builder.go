@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Config describes the model input tensor and classifier head used when
 // instantiating a zoo architecture. Channels-first single-sample semantics:
@@ -32,31 +35,55 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// builder incrementally assembles a computational graph, deriving each
-// node's output shape and cost from its predecessors. Shape mismatches are
+// builder derives each node's output shape and cost from its predecessors
+// while a zoo or random architecture is described to it. It only
+// accumulates nodes and edges in scratch that builderPool reuses across
+// builds; finish copies them out at exact size (assemble), so nothing of the
+// scratch is reachable from the returned graph. Shape mismatches are
 // programming errors in the zoo definitions, so helpers panic with
 // descriptive messages; every zoo model is covered by tests.
 type builder struct {
-	g *Graph
+	name  string
+	nodes []Node
+	edges [][2]int
 }
 
-func newBuilder(name string) *builder { return &builder{g: New(name)} }
+var builderPool = sync.Pool{New: func() any { return new(builder) }}
+
+// build lends fill a pooled builder and assembles what it described. The
+// builder is acquired and released here and never outlives the call
+// (DESIGN.md §10); fill must not retain it.
+func build(name string, cfg Config, fill func(b *builder, cfg Config)) (*Graph, error) {
+	b := builderPool.Get().(*builder)
+	defer b.release()
+	b.name = name
+	fill(b, cfg)
+	return b.finish()
+}
+
+// release empties the scratch — clearing nodes so their label strings are
+// not pinned by the pool — and returns it. Deferred, it also runs when a
+// zoo definition panics.
+func (b *builder) release() {
+	clear(b.nodes)
+	b.name, b.nodes, b.edges = "", b.nodes[:0], b.edges[:0]
+	builderPool.Put(b)
+}
 
 func (b *builder) shape(id int) (c, h, w int) {
-	n := b.g.Nodes[id]
+	n := &b.nodes[id]
 	return n.OutChannels, n.OutH, n.OutW
 }
 
 func (b *builder) node(op OpType, label string, from []int, outC, outH, outW int, params, flops int64) int {
-	id := b.g.AddNode(&Node{
+	id := len(b.nodes)
+	b.nodes = append(b.nodes, Node{
 		Op: op, Label: label,
 		OutChannels: outC, OutH: outH, OutW: outW,
 		Params: params, FLOPs: flops,
 	})
 	for _, f := range from {
-		if err := b.g.AddEdge(f, id); err != nil {
-			panic(fmt.Sprintf("graph builder %s: %v", b.g.Name, err))
-		}
+		b.edges = append(b.edges, [2]int{f, id})
 	}
 	return id
 }
@@ -80,7 +107,7 @@ func (b *builder) conv(from, outC, k, stride, pad, groups int) int {
 		groups = 1
 	}
 	if inC%groups != 0 || outC%groups != 0 {
-		panic(fmt.Sprintf("graph builder %s: conv channels %d→%d not divisible by groups %d", b.g.Name, inC, outC, groups))
+		panic(fmt.Sprintf("graph builder %s: conv channels %d→%d not divisible by groups %d", b.name, inC, outC, groups))
 	}
 	oh, ow := convOut(h, k, stride, pad), convOut(w, k, stride, pad)
 	op := OpConv
@@ -112,7 +139,7 @@ func (b *builder) bn(from int) int {
 // act adds an element-wise activation.
 func (b *builder) act(from int, op OpType) int {
 	if !op.IsActivation() {
-		panic(fmt.Sprintf("graph builder %s: %s is not an activation", b.g.Name, op))
+		panic(fmt.Sprintf("graph builder %s: %s is not an activation", b.name, op))
 	}
 	c, h, w := b.shape(from)
 	elems := int64(c) * int64(h) * int64(w)
@@ -164,7 +191,7 @@ func (b *builder) add(x, y int) int {
 	cy, hy, wy := b.shape(y)
 	if cx != cy || hx != hy || wx != wy {
 		panic(fmt.Sprintf("graph builder %s: add shape mismatch %dx%dx%d vs %dx%dx%d (nodes %d,%d)",
-			b.g.Name, cx, hx, wx, cy, hy, wy, x, y))
+			b.name, cx, hx, wx, cy, hy, wy, x, y))
 	}
 	return b.node(OpAdd, "add", []int{x, y}, cx, hx, wx, 0, int64(cx)*int64(hx)*int64(wx))
 }
@@ -172,14 +199,14 @@ func (b *builder) add(x, y int) int {
 // concat joins tensors along the channel dimension.
 func (b *builder) concat(ids ...int) int {
 	if len(ids) < 2 {
-		panic(fmt.Sprintf("graph builder %s: concat needs ≥2 inputs", b.g.Name))
+		panic(fmt.Sprintf("graph builder %s: concat needs ≥2 inputs", b.name))
 	}
 	c0, h0, w0 := b.shape(ids[0])
 	total := c0
 	for _, id := range ids[1:] {
 		c, h, w := b.shape(id)
 		if h != h0 || w != w0 {
-			panic(fmt.Sprintf("graph builder %s: concat spatial mismatch %dx%d vs %dx%d", b.g.Name, h, w, h0, w0))
+			panic(fmt.Sprintf("graph builder %s: concat spatial mismatch %dx%d vs %dx%d", b.name, h, w, h0, w0))
 		}
 		total += c
 	}
@@ -192,7 +219,7 @@ func (b *builder) mul(x, gate int) int {
 	cx, hx, wx := b.shape(x)
 	cg, _, _ := b.shape(gate)
 	if cx != cg {
-		panic(fmt.Sprintf("graph builder %s: mul channel mismatch %d vs %d", b.g.Name, cx, cg))
+		panic(fmt.Sprintf("graph builder %s: mul channel mismatch %d vs %d", b.name, cx, cg))
 	}
 	return b.node(OpMul, "mul", []int{x, gate}, cx, hx, wx, 0, int64(cx)*int64(hx)*int64(wx))
 }
@@ -228,12 +255,18 @@ func (b *builder) output(from int) int {
 	return b.node(OpOutput, "output", []int{from}, c, h, w, 0, 0)
 }
 
-// finish validates and returns the built graph.
+// finish assembles, validates and returns the described graph.
 func (b *builder) finish() (*Graph, error) {
-	if err := b.g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph builder %s: %w", b.g.Name, err)
+	nodes := make([]Node, len(b.nodes))
+	copy(nodes, b.nodes)
+	g, err := assemble(b.name, nodes, b.edges)
+	if err == nil {
+		err = g.Validate()
 	}
-	return b.g, nil
+	if err != nil {
+		return nil, fmt.Errorf("graph builder %s: %w", b.name, err)
+	}
+	return g, nil
 }
 
 // convBNAct is the ubiquitous conv → batch norm → activation block.

@@ -56,15 +56,68 @@ func (g *Graph) AddNode(n *Node) int {
 
 // AddEdge adds a dataflow edge from node u to node v.
 func (g *Graph) AddEdge(u, v int) error {
-	if u < 0 || u >= len(g.Nodes) || v < 0 || v >= len(g.Nodes) {
-		return fmt.Errorf("graph: edge (%d,%d) references missing node (have %d nodes)", u, v, len(g.Nodes))
-	}
-	if u == v {
-		return fmt.Errorf("graph: self-loop on node %d", u)
+	if err := checkEdge(u, v, len(g.Nodes)); err != nil {
+		return err
 	}
 	g.out[u] = append(g.out[u], v)
 	g.in[v] = append(g.in[v], u)
 	return nil
+}
+
+// checkEdge rejects an edge (u,v) that an n-node graph cannot hold.
+func checkEdge(u, v, n int) error {
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("graph: edge (%d,%d) references missing node (have %d nodes)", u, v, n)
+	}
+	if u == v {
+		return fmt.Errorf("graph: self-loop on node %d", u)
+	}
+	return nil
+}
+
+// assemble is the one place a whole graph is materialised: FromSpec and the
+// zoo/random builder both end here. It takes ownership of nodes (an
+// exact-size slice the caller just allocated), copies edges in order — so
+// adjacency order is what the same AddEdge calls would have produced — and
+// rejects a bad edge with AddEdge's error. Beyond nodes it allocates the
+// Graph, Nodes, one header block shared by out and in, and one adjacency
+// slab carved by degree; every slice it hands out has cap == len, so a later
+// AddNode/AddEdge reallocates instead of writing into a neighbouring list
+// (DESIGN.md "Graph memory layout").
+func assemble(name string, nodes []Node, edges [][2]int) (*Graph, error) {
+	n := len(nodes)
+	heads := make([][]int, 2*n)
+	out, in := heads[:n:n], heads[n:]
+	slab := make([]int, 2*len(edges))
+	// Count degrees in the headers' own length fields: every list starts as
+	// an empty view of the slab and grows by one per incident edge, with
+	// nothing written yet.
+	for i := range heads {
+		heads[i] = slab[:0]
+	}
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if err := checkEdge(u, v, n); err != nil {
+			return nil, err
+		}
+		out[u] = out[u][:len(out[u])+1]
+		in[v] = in[v][:len(in[v])+1]
+	}
+	off := 0
+	for i, h := range heads {
+		heads[i] = slab[off : off : off+len(h)]
+		off += len(h)
+	}
+	for _, e := range edges {
+		out[e[0]] = append(out[e[0]], e[1])
+		in[e[1]] = append(in[e[1]], e[0])
+	}
+	g := &Graph{Name: name, Nodes: make([]*Node, n), out: out, in: in}
+	for i := range nodes {
+		nodes[i].ID = i
+		g.Nodes[i] = &nodes[i]
+	}
+	return g, nil
 }
 
 // NumNodes returns the number of nodes.

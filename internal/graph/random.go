@@ -37,8 +37,20 @@ func RandomGraph(rng *tensor.RNG, cfg Config) *Graph {
 // multi-branch (inception-like) blocks, squeeze-and-excite, and pooling.
 // The result always passes Validate.
 func RandomGraphSpec(rng *tensor.RNG, cfg Config, spec RandomSpec) *Graph {
-	cfg = cfg.withDefaults()
-	b := newBuilder(fmt.Sprintf("random-%d", rng.Intn(1<<30)))
+	name := fmt.Sprintf("random-%d", rng.Intn(1<<30))
+	g, err := build(name, cfg.withDefaults(), func(b *builder, cfg Config) {
+		randomArch(b, rng, cfg, spec)
+	})
+	if err != nil {
+		// The generator only composes valid primitives; a failure here is a
+		// bug in the generator itself.
+		panic(fmt.Sprintf("graph: random generator produced invalid graph: %v", err))
+	}
+	return g
+}
+
+// randomArch describes one sampled architecture to b.
+func randomArch(b *builder, rng *tensor.RNG, cfg Config, spec RandomSpec) {
 	id := b.input(cfg)
 
 	// Stem width spans 16–128 so sampled complexities cover the zoo's
@@ -82,13 +94,6 @@ func RandomGraphSpec(rng *tensor.RNG, cfg Config, spec RandomSpec) *Graph {
 	} else {
 		b.classifierHead(id, cfg)
 	}
-	g, err := b.finish()
-	if err != nil {
-		// The generator only composes valid primitives; a failure here is a
-		// bug in the generator itself.
-		panic(fmt.Sprintf("graph: random generator produced invalid graph: %v", err))
-	}
-	return g
 }
 
 // randomBlock appends one randomly chosen block and returns the new tail

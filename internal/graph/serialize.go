@@ -59,8 +59,12 @@ func (g *Graph) Spec() *Spec {
 			FLOPs:       n.FLOPs,
 		}
 	}
-	for u := range g.Nodes {
-		for _, v := range g.out[u] {
+	// Sized once; left nil without edges so the marshalled bytes stay "null".
+	if ne := g.NumEdges(); ne > 0 {
+		s.Edges = make([][2]int, 0, ne)
+	}
+	for u, succs := range g.out {
+		for _, v := range succs {
 			s.Edges = append(s.Edges, [2]int{u, v})
 		}
 	}
@@ -72,7 +76,7 @@ func FromSpec(s *Spec) (*Graph, error) {
 	if s == nil {
 		return nil, fmt.Errorf("graph: nil spec")
 	}
-	g := New(s.Name)
+	nodes := make([]Node, len(s.Nodes))
 	for i, ns := range s.Nodes {
 		op, err := ParseOp(ns.Op)
 		if err != nil {
@@ -86,7 +90,7 @@ func FromSpec(s *Spec) (*Graph, error) {
 		if ns.OutChannels < 0 || ns.OutH < 0 || ns.OutW < 0 {
 			return nil, fmt.Errorf("graph: node %d has negative shape", i)
 		}
-		g.AddNode(&Node{
+		nodes[i] = Node{
 			Op:          op,
 			Label:       ns.Label,
 			OutChannels: ns.OutChannels,
@@ -94,12 +98,11 @@ func FromSpec(s *Spec) (*Graph, error) {
 			OutW:        ns.OutW,
 			Params:      ns.Params,
 			FLOPs:       ns.FLOPs,
-		})
-	}
-	for _, e := range s.Edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return nil, err
 		}
+	}
+	g, err := assemble(s.Name, nodes, s.Edges)
+	if err != nil {
+		return nil, err
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -5,12 +5,12 @@ import (
 	"sort"
 )
 
-// BuildFunc instantiates a named architecture for the given input config.
-type BuildFunc func(cfg Config) (*Graph, error)
+// zooFunc describes one architecture to b for the given input config.
+type zooFunc func(b *builder, cfg Config)
 
 // registry maps the 31 torchvision-equivalent architecture names the paper
-// trains (§IV-A2) to their builders.
-var registry = map[string]BuildFunc{
+// trains (§IV-A2) to their definitions; the key is the graph's Name.
+var registry = map[string]zooFunc{
 	"alexnet": buildAlexNet,
 
 	"vgg11": vggBuilder(vggA),
@@ -18,37 +18,37 @@ var registry = map[string]BuildFunc{
 	"vgg16": vggBuilder(vggD),
 	"vgg19": vggBuilder(vggE),
 
-	"resnet18":  resnetBuilder("resnet18", basicBlock, []int{2, 2, 2, 2}, 1, 64),
-	"resnet34":  resnetBuilder("resnet34", basicBlock, []int{3, 4, 6, 3}, 1, 64),
-	"resnet50":  resnetBuilder("resnet50", bottleneckBlock, []int{3, 4, 6, 3}, 1, 64),
-	"resnet101": resnetBuilder("resnet101", bottleneckBlock, []int{3, 4, 23, 3}, 1, 64),
-	"resnet152": resnetBuilder("resnet152", bottleneckBlock, []int{3, 8, 36, 3}, 1, 64),
+	"resnet18":  resnetBuilder(basicBlock, []int{2, 2, 2, 2}, 1, 64),
+	"resnet34":  resnetBuilder(basicBlock, []int{3, 4, 6, 3}, 1, 64),
+	"resnet50":  resnetBuilder(bottleneckBlock, []int{3, 4, 6, 3}, 1, 64),
+	"resnet101": resnetBuilder(bottleneckBlock, []int{3, 4, 23, 3}, 1, 64),
+	"resnet152": resnetBuilder(bottleneckBlock, []int{3, 8, 36, 3}, 1, 64),
 
-	"resnext50_32x4d":  resnetBuilder("resnext50_32x4d", bottleneckBlock, []int{3, 4, 6, 3}, 32, 4),
-	"resnext101_32x8d": resnetBuilder("resnext101_32x8d", bottleneckBlock, []int{3, 4, 23, 3}, 32, 8),
-	"wide_resnet50_2":  resnetBuilder("wide_resnet50_2", bottleneckBlock, []int{3, 4, 6, 3}, 1, 128),
-	"wide_resnet101_2": resnetBuilder("wide_resnet101_2", bottleneckBlock, []int{3, 4, 23, 3}, 1, 128),
+	"resnext50_32x4d":  resnetBuilder(bottleneckBlock, []int{3, 4, 6, 3}, 32, 4),
+	"resnext101_32x8d": resnetBuilder(bottleneckBlock, []int{3, 4, 23, 3}, 32, 8),
+	"wide_resnet50_2":  resnetBuilder(bottleneckBlock, []int{3, 4, 6, 3}, 1, 128),
+	"wide_resnet101_2": resnetBuilder(bottleneckBlock, []int{3, 4, 23, 3}, 1, 128),
 
-	"densenet121": densenetBuilder("densenet121", 32, 64, []int{6, 12, 24, 16}),
-	"densenet161": densenetBuilder("densenet161", 48, 96, []int{6, 12, 36, 24}),
-	"densenet169": densenetBuilder("densenet169", 32, 64, []int{6, 12, 32, 32}),
-	"densenet201": densenetBuilder("densenet201", 32, 64, []int{6, 12, 48, 32}),
+	"densenet121": densenetBuilder(32, 64, []int{6, 12, 24, 16}),
+	"densenet161": densenetBuilder(48, 96, []int{6, 12, 36, 24}),
+	"densenet169": densenetBuilder(32, 64, []int{6, 12, 32, 32}),
+	"densenet201": densenetBuilder(32, 64, []int{6, 12, 48, 32}),
 
 	"mobilenet_v2":       buildMobileNetV2,
-	"mobilenet_v3_small": mobileNetV3Builder("mobilenet_v3_small", mnv3Small, 576, 1024),
-	"mobilenet_v3_large": mobileNetV3Builder("mobilenet_v3_large", mnv3Large, 960, 1280),
+	"mobilenet_v3_small": mobileNetV3Builder(mnv3Small, 576, 1024),
+	"mobilenet_v3_large": mobileNetV3Builder(mnv3Large, 960, 1280),
 
-	"squeezenet1_0": squeezenetBuilder("squeezenet1_0", true),
-	"squeezenet1_1": squeezenetBuilder("squeezenet1_1", false),
+	"squeezenet1_0": squeezenetBuilder(true),
+	"squeezenet1_1": squeezenetBuilder(false),
 
-	"efficientnet_b0": efficientNetBuilder("efficientnet_b0", 1.0, 1.0),
-	"efficientnet_b1": efficientNetBuilder("efficientnet_b1", 1.0, 1.1),
-	"efficientnet_b2": efficientNetBuilder("efficientnet_b2", 1.1, 1.2),
-	"efficientnet_b3": efficientNetBuilder("efficientnet_b3", 1.2, 1.4),
-	"efficientnet_b4": efficientNetBuilder("efficientnet_b4", 1.4, 1.8),
-	"efficientnet_b5": efficientNetBuilder("efficientnet_b5", 1.6, 2.2),
-	"efficientnet_b6": efficientNetBuilder("efficientnet_b6", 1.8, 2.6),
-	"efficientnet_b7": efficientNetBuilder("efficientnet_b7", 2.0, 3.1),
+	"efficientnet_b0": efficientNetBuilder(1.0, 1.0),
+	"efficientnet_b1": efficientNetBuilder(1.0, 1.1),
+	"efficientnet_b2": efficientNetBuilder(1.1, 1.2),
+	"efficientnet_b3": efficientNetBuilder(1.2, 1.4),
+	"efficientnet_b4": efficientNetBuilder(1.4, 1.8),
+	"efficientnet_b5": efficientNetBuilder(1.6, 2.2),
+	"efficientnet_b6": efficientNetBuilder(1.8, 2.6),
+	"efficientnet_b7": efficientNetBuilder(2.0, 3.1),
 }
 
 // Zoo returns the sorted names of all available architectures.
@@ -68,7 +68,7 @@ func Build(name string, cfg Config) (*Graph, error) {
 	if !ok {
 		return nil, fmt.Errorf("graph: unknown architecture %q (have %d models, see Zoo())", name, len(registry))
 	}
-	return f(cfg.withDefaults())
+	return build(name, cfg.withDefaults(), f)
 }
 
 // MustBuild is Build for statically known names; it panics on error.
@@ -82,8 +82,7 @@ func MustBuild(name string, cfg Config) *Graph {
 
 // buildAlexNet reproduces torchvision's AlexNet feature extractor and
 // classifier, adapted to arbitrary input sizes via adaptive pooling.
-func buildAlexNet(cfg Config) (*Graph, error) {
-	b := newBuilder("alexnet")
+func buildAlexNet(b *builder, cfg Config) {
 	id := b.input(cfg)
 	id = b.conv(id, 64, 11, 4, 2, 1)
 	id = b.act(id, OpReLU)
@@ -109,28 +108,21 @@ func buildAlexNet(cfg Config) (*Graph, error) {
 	id = b.linear(id, cfg.NumClasses)
 	id = b.softmax(id)
 	b.output(id)
-	return b.finish()
 }
 
 // VGG configurations: positive numbers are conv output channels, -1 is a
 // 2x2 max pool ("M" in the original paper).
 var (
-	vggA = vggConfig{"vgg11", []int{64, -1, 128, -1, 256, 256, -1, 512, 512, -1, 512, 512, -1}}
-	vggB = vggConfig{"vgg13", []int{64, 64, -1, 128, 128, -1, 256, 256, -1, 512, 512, -1, 512, 512, -1}}
-	vggD = vggConfig{"vgg16", []int{64, 64, -1, 128, 128, -1, 256, 256, 256, -1, 512, 512, 512, -1, 512, 512, 512, -1}}
-	vggE = vggConfig{"vgg19", []int{64, 64, -1, 128, 128, -1, 256, 256, 256, 256, -1, 512, 512, 512, 512, -1, 512, 512, 512, 512, -1}}
+	vggA = []int{64, -1, 128, -1, 256, 256, -1, 512, 512, -1, 512, 512, -1}
+	vggB = []int{64, 64, -1, 128, 128, -1, 256, 256, -1, 512, 512, -1, 512, 512, -1}
+	vggD = []int{64, 64, -1, 128, 128, -1, 256, 256, 256, -1, 512, 512, 512, -1, 512, 512, 512, -1}
+	vggE = []int{64, 64, -1, 128, 128, -1, 256, 256, 256, 256, -1, 512, 512, 512, 512, -1, 512, 512, 512, 512, -1}
 )
 
-type vggConfig struct {
-	name   string
-	layers []int
-}
-
-func vggBuilder(vc vggConfig) BuildFunc {
-	return func(cfg Config) (*Graph, error) {
-		b := newBuilder(vc.name)
+func vggBuilder(layers []int) zooFunc {
+	return func(b *builder, cfg Config) {
 		id := b.input(cfg)
-		for _, l := range vc.layers {
+		for _, l := range layers {
 			if l == -1 {
 				id = b.maxPool(id, 2, 2, 0)
 				continue
@@ -150,6 +142,5 @@ func vggBuilder(vc vggConfig) BuildFunc {
 		id = b.linear(id, cfg.NumClasses)
 		id = b.softmax(id)
 		b.output(id)
-		return b.finish()
 	}
 }

@@ -4,9 +4,8 @@ package graph
 // Each dense layer computes bn→relu→1x1 conv (bottleneck to 4·growth)
 // →bn→relu→3x3 conv (growth channels) and concatenates its output with its
 // input; transitions halve channels with a 1x1 conv and 2x2 average pool.
-func densenetBuilder(name string, growth, initFeatures int, blockLayers []int) BuildFunc {
-	return func(cfg Config) (*Graph, error) {
-		b := newBuilder(name)
+func densenetBuilder(growth, initFeatures int, blockLayers []int) zooFunc {
+	return func(b *builder, cfg Config) {
 		id := b.input(cfg)
 		id = b.convBNAct(id, initFeatures, 7, 2, 3, 1, OpReLU)
 		id = b.maxPool(id, 3, 2, 1)
@@ -28,7 +27,6 @@ func densenetBuilder(name string, growth, initFeatures int, blockLayers []int) B
 		id = b.bn(id)
 		id = b.act(id, OpReLU)
 		b.classifierHead(id, cfg)
-		return b.finish()
 	}
 }
 

@@ -6,7 +6,7 @@ import "math"
 // — reference [35] of the paper) via compound scaling of the B0 backbone:
 // widthMult scales channel counts (rounded to multiples of 8) and depthMult
 // scales per-stage repeat counts (rounded up).
-func efficientNetBuilder(name string, widthMult, depthMult float64) BuildFunc {
+func efficientNetBuilder(widthMult, depthMult float64) zooFunc {
 	// B0 stages: expansion, channels, repeats, stride, kernel.
 	type stage struct{ expand, channels, repeats, stride, kernel int }
 	stages := []stage{
@@ -18,8 +18,7 @@ func efficientNetBuilder(name string, widthMult, depthMult float64) BuildFunc {
 		{6, 192, 4, 2, 5},
 		{6, 320, 1, 1, 3},
 	}
-	return func(cfg Config) (*Graph, error) {
-		b := newBuilder(name)
+	return func(b *builder, cfg Config) {
 		id := b.input(cfg)
 		stem := roundChannels(32, widthMult)
 		id = b.convBNAct(id, stem, 3, 2, 1, 1, OpSwish)
@@ -39,7 +38,6 @@ func efficientNetBuilder(name string, widthMult, depthMult float64) BuildFunc {
 		head := roundChannels(1280, widthMult)
 		id = b.convBNAct(id, head, 1, 1, 0, 1, OpSwish)
 		b.classifierHead(id, cfg)
-		return b.finish()
 	}
 }
 

@@ -2,8 +2,7 @@ package graph
 
 // buildMobileNetV2 constructs MobileNet-V2 (Sandler et al., CVPR'18) from
 // inverted-residual blocks with linear bottlenecks.
-func buildMobileNetV2(cfg Config) (*Graph, error) {
-	b := newBuilder("mobilenet_v2")
+func buildMobileNetV2(b *builder, cfg Config) {
 	id := b.input(cfg)
 	id = b.convBNAct(id, 32, 3, 2, 1, 1, OpReLU6)
 	inC := 32
@@ -24,7 +23,6 @@ func buildMobileNetV2(cfg Config) (*Graph, error) {
 	}
 	id = b.convBNAct(id, 1280, 1, 1, 0, 1, OpReLU6)
 	b.classifierHead(id, cfg)
-	return b.finish()
 }
 
 // invertedResidual appends one MobileNet-V2 block: 1x1 expand → 3x3
@@ -88,9 +86,8 @@ var mnv3Small = []mnv3Block{
 
 // mobileNetV3Builder constructs MobileNet-V3 (Howard et al., ICCV'19 —
 // reference [19] of the paper) with SE blocks and hard-swish activations.
-func mobileNetV3Builder(name string, blocks []mnv3Block, lastConv, headWidth int) BuildFunc {
-	return func(cfg Config) (*Graph, error) {
-		b := newBuilder(name)
+func mobileNetV3Builder(blocks []mnv3Block, lastConv, headWidth int) zooFunc {
+	return func(b *builder, cfg Config) {
 		id := b.input(cfg)
 		id = b.convBNAct(id, 16, 3, 2, 1, 1, OpHardSwish)
 		inC := 16
@@ -107,7 +104,6 @@ func mobileNetV3Builder(name string, blocks []mnv3Block, lastConv, headWidth int
 		id = b.linear(id, cfg.NumClasses)
 		id = b.softmax(id)
 		b.output(id)
-		return b.finish()
 	}
 }
 

@@ -12,9 +12,8 @@ const (
 // ResNeXt (grouped) and Wide-ResNet (doubled width) variants. groups and
 // widthPerGroup follow torchvision semantics: plain ResNets use groups=1,
 // widthPerGroup=64; resnext50_32x4d uses 32/4; wide_resnet50_2 uses 1/128.
-func resnetBuilder(name string, kind blockKind, layers []int, groups, widthPerGroup int) BuildFunc {
-	return func(cfg Config) (*Graph, error) {
-		b := newBuilder(name)
+func resnetBuilder(kind blockKind, layers []int, groups, widthPerGroup int) zooFunc {
+	return func(b *builder, cfg Config) {
 		id := b.input(cfg)
 		// Stem: 7x7/2 conv + 3x3/2 max pool.
 		id = b.convBNAct(id, 64, 7, 2, 3, 1, OpReLU)
@@ -40,7 +39,6 @@ func resnetBuilder(name string, kind blockKind, layers []int, groups, widthPerGr
 			}
 		}
 		b.classifierHead(id, cfg)
-		return b.finish()
 	}
 }
 

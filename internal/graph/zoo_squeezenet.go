@@ -3,9 +3,8 @@ package graph
 // squeezenetBuilder constructs SqueezeNet 1.0 (v10=true) or 1.1 (v10=false)
 // from fire modules: a 1x1 squeeze conv followed by parallel 1x1 and 3x3
 // expand convs whose outputs are concatenated.
-func squeezenetBuilder(name string, v10 bool) BuildFunc {
-	return func(cfg Config) (*Graph, error) {
-		b := newBuilder(name)
+func squeezenetBuilder(v10 bool) zooFunc {
+	return func(b *builder, cfg Config) {
 		id := b.input(cfg)
 		if v10 {
 			id = b.conv(id, 96, 7, 2, 0, 1)
@@ -44,7 +43,6 @@ func squeezenetBuilder(name string, v10 bool) BuildFunc {
 		id = b.flatten(id)
 		id = b.softmax(id)
 		b.output(id)
-		return b.finish()
 	}
 }
 

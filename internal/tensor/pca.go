@@ -74,6 +74,14 @@ func FitPCA(x *Matrix, k int) (*PCA, error) {
 				break
 			}
 		}
+		// When two eigenvalues nearly tie, 500 iterations leave the earlier
+		// component short of converged and the deflated matrix's eigenvector
+		// a few 1e-5 off orthogonal to it; project that out.
+		for prev := 0; prev < comp; prev++ {
+			u := p.components.Row(prev)
+			AxpyInPlace(v, u, -Dot(v, u))
+		}
+		normalize(v)
 		p.components.SetRow(comp, v)
 		// Deflate: cov -= λ v vᵀ.
 		for a := 0; a < d; a++ {

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -122,7 +123,16 @@ func TestPCAOrthonormalProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	// Seeded so tier-1 draws the same 30 matrices every run. The named seeds
+	// have near-tied eigenvalue pairs (0.9214/0.9085, 0.5023/0.4988,
+	// 1.0891/1.0716) and failed the dot-product bound before FitPCA
+	// re-orthogonalised its components.
+	for _, seed := range []int64{-5591119224451202755, -1794630548852716124, -3108587704437491566} {
+		if !f(seed) {
+			t.Errorf("seed %d: components not orthonormal", seed)
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
