@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +12,6 @@ import (
 	"sync"
 
 	"predictddl/internal/cluster"
-	"predictddl/internal/dataset"
 	"predictddl/internal/graph"
 	"predictddl/internal/obs"
 )
@@ -183,47 +183,46 @@ type PredictResponse struct {
 	Trace *obs.TraceReport `json:"trace,omitempty"`
 }
 
-// checkRequest is the Task Checker (Fig. 7 step 3): it validates the
-// request and resolves the engine, architecture, and cluster.
-func (c *Controller) checkRequest(req PredictRequest) (*InferenceEngine, *graph.Graph, cluster.Cluster, error) {
-	if req.Dataset == "" {
-		return nil, nil, cluster.Cluster{}, fmt.Errorf("core: request missing dataset")
-	}
-	engine, err := c.Engine(req.Dataset)
+// resolve is step 1 of pricing a request (DESIGN.md §17): the Task Checker
+// (Fig. 7 step 3) resolves the engine, architecture and cluster, then the
+// engine runs Predict's own checks. Builds and hashes go through m, so a
+// batch does each once per architecture; nil does every one.
+// A Task Checker failure carries its status (checkStatus); what fails
+// after it is a server fault.
+func (c *Controller) resolve(req PredictRequest, m *memo) job {
+	engine, g, cl, err := c.checkRequest(req, m)
 	if err != nil {
-		if c.registry != nil && !c.registry.Has(req.Dataset) {
-			return nil, nil, cluster.Cluster{}, fmt.Errorf("core: %w %q (no trained GHN; submit it for offline training first)", ErrNoEngine, req.Dataset)
-		}
-		return nil, nil, cluster.Cluster{}, err
+		return job{err: err, code: checkStatus(err)}
 	}
-	var g *graph.Graph
+	return engine.newJob(g, cl, m)
+}
+
+// checkRequest is the Task Checker: it validates the request and resolves
+// the engine, architecture, and cluster.
+func (c *Controller) checkRequest(req PredictRequest, m *memo) (engine *InferenceEngine, g *graph.Graph, cl cluster.Cluster, err error) {
+	if req.Dataset == "" {
+		return nil, nil, cl, fmt.Errorf("core: request missing dataset")
+	}
+	if engine, err = c.Engine(req.Dataset); err != nil {
+		if c.registry != nil && !c.registry.Has(req.Dataset) {
+			err = fmt.Errorf("core: %w %q (no trained GHN; submit it for offline training first)", ErrNoEngine, req.Dataset)
+		}
+		return nil, nil, cl, err
+	}
 	switch {
 	case req.Model != "" && req.Graph != nil:
-		return nil, nil, cluster.Cluster{}, fmt.Errorf("core: request must set model or graph, not both")
+		err = fmt.Errorf("core: request must set model or graph, not both")
 	case req.Graph != nil:
-		var err error
 		g, err = graph.FromSpec(req.Graph)
-		if err != nil {
-			return nil, nil, cluster.Cluster{}, err
-		}
 	case req.Model != "":
-		// Build at the dataset's sample shape, as training and campaigns
-		// do. Engines may be registered under names dataset.Lookup does not
-		// know; those keep the zoo defaults.
-		var gcfg graph.Config
-		if ds, err := dataset.Lookup(req.Dataset); err == nil {
-			gcfg = ds.GraphConfig()
-		}
-		var err error
-		g, err = graph.Build(req.Model, gcfg)
-		if err != nil {
-			return nil, nil, cluster.Cluster{}, err
-		}
+		g, err = m.build(engine, req.Model)
 	default:
-		return nil, nil, cluster.Cluster{}, fmt.Errorf("core: request missing model (or custom graph)")
+		err = fmt.Errorf("core: request missing model (or custom graph)")
+	}
+	if err != nil {
+		return nil, nil, cl, err
 	}
 
-	var cl cluster.Cluster
 	col := c.Collector()
 	switch {
 	case req.NumServers > 0:
@@ -233,16 +232,15 @@ func (c *Controller) checkRequest(req PredictRequest) (*InferenceEngine, *graph.
 		}
 		spec, err := cluster.LookupSpec(specName)
 		if err != nil {
-			return nil, nil, cluster.Cluster{}, err
+			return nil, nil, cl, err
 		}
 		cl = cluster.Homogeneous(req.NumServers, spec)
 	case col != nil:
-		cl = col.Cluster()
-		if cl.Size() == 0 {
+		if cl = col.Cluster(); cl.Size() == 0 {
 			return nil, nil, cluster.Cluster{}, fmt.Errorf("core: %w", ErrEmptyInventory)
 		}
 	default:
-		return nil, nil, cluster.Cluster{}, fmt.Errorf("core: request needs num_servers > 0 (no resource collector attached)")
+		return nil, nil, cl, fmt.Errorf("core: request needs num_servers > 0 (no resource collector attached)")
 	}
 	return engine, g, cl, nil
 }
@@ -322,18 +320,8 @@ func (c *Controller) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if RejectBatch(w, n, maxItems) {
 		return
 	}
-	resp := BatchResponse{Results: make([]BatchItem, n)}
-	// Items are independent (graph building and GHN embedding dominate) and
-	// each worker writes only its own result slot, so the response stays
-	// index-aligned and race-free.
 	stop := tr.Stage("fanout")
-	parallelEach(n, func(i int) {
-		item := &resp.Results[i]
-		var err error
-		if item.PredictResponse, item.Code, err = c.predictOne(req.Requests[i], nil); err != nil {
-			item.Error = err.Error()
-		}
-	})
+	resp := BatchResponse{Results: c.predictBatch(req.Requests)}
 	stop()
 	if tr != nil {
 		rep := tr.Report()
@@ -342,36 +330,58 @@ func (c *Controller) handleBatch(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, resp)
 }
 
-// predictOne is the one predict body — Task Checker, then the engine —
-// behind /v1/predict and every batch item. A failure returns the error and
-// the status it maps to; success leaves the code zero (a batch item omits
-// it). tr may be nil.
-func (c *Controller) predictOne(pr PredictRequest, tr *obs.Trace) (resp PredictResponse, code int, err error) {
+// predictBatch is the batch body (DESIGN.md §17): every item resolved,
+// embedded and priced on the worker pool as /v1/predict would price it,
+// each worker writing only its own slot, with one memo for the request so
+// each architecture is built, hashed and embedded once.
+func (c *Controller) predictBatch(requests []PredictRequest) []BatchItem {
+	items := make([]BatchItem, len(requests))
+	m := new(memo)
+	parallelEach(len(requests), func(i int) {
+		j := c.resolve(requests[i], m)
+		j.price(m, nil)
+		item := &items[i]
+		var err error
+		if item.PredictResponse, item.Code, err = j.reply(requests[i]); err != nil {
+			item.Error = err.Error()
+		}
+	})
+	return items
+}
+
+// predictOne is /v1/predict's body: the one-item case of predictBatch,
+// without a memo, with the check, embed and regress stages traced on tr
+// (which may be nil).
+func (c *Controller) predictOne(pr PredictRequest, tr *obs.Trace) (PredictResponse, int, error) {
 	stop := tr.Stage("check")
-	engine, g, cl, err := c.checkRequest(pr)
+	j := c.resolve(pr, nil)
 	stop()
-	if err != nil {
-		return resp, checkStatus(err), err
+	j.price(nil, tr)
+	return j.reply(pr)
+}
+
+// reply turns a priced job into its /v1/predict answer. A failure returns
+// the error and the status it maps to; success leaves the code zero (a
+// batch item omits it).
+func (j *job) reply(pr PredictRequest) (PredictResponse, int, error) {
+	if j.err != nil {
+		return PredictResponse{}, cmp.Or(j.code, http.StatusInternalServerError), j.err
 	}
-	secs, err := engine.PredictTraced(g, cl, tr)
-	if err != nil {
-		return resp, http.StatusInternalServerError, err
-	}
-	if math.IsNaN(secs) || math.IsInf(secs, 0) {
+	if math.IsNaN(j.secs) || math.IsInf(j.secs, 0) {
 		// JSON cannot carry it: without this the reply is a 200 header and
 		// no body.
-		return resp, http.StatusInternalServerError, fmt.Errorf("core: non-finite prediction %v for dataset %q", secs, pr.Dataset)
+		return PredictResponse{}, http.StatusInternalServerError, fmt.Errorf("core: non-finite prediction %v for dataset %q", j.secs, pr.Dataset)
 	}
 	model := pr.Model
 	if model == "" {
-		model = g.Name
+		model = j.g.Name
 	}
 	return PredictResponse{
 		Dataset:          pr.Dataset,
 		Model:            model,
-		NumServers:       cl.Size(),
-		PredictedSeconds: secs,
-		Regressor:        engine.ModelName(),
+		NumServers:       j.cl.Size(),
+		PredictedSeconds: j.secs,
+		Regressor:        j.engine.ModelName(),
 	}, 0, nil
 }
 

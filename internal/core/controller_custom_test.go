@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"predictddl/internal/cluster"
+	"predictddl/internal/ghn"
 	"predictddl/internal/graph"
 	"predictddl/internal/tensor"
 )
@@ -199,9 +202,10 @@ func shapedSpec(channels, h, w int) *graph.Spec {
 
 // Regression test: a negative shape field used to pass FromSpec, embed as
 // NaN (log1p of a negative) and come back as a 200 header with no body,
-// because NaN has no JSON encoding. It is bad input (400); and a prediction
-// that is non-finite for any other reason — here H×W overflowing int — is a
-// 500 with a message, never an unencodable 200.
+// because NaN has no JSON encoding. It is bad input (400), and so is an
+// H×W area that overflows int (it wrapped negative and reached the same
+// log1p, answered as a 500 server fault). The 500 for a non-finite
+// prediction is TestControllerNonFinitePredictionIs500's.
 func TestControllerRejectsNonFiniteShapes(t *testing.T) {
 	ctrl := NewController(NewGHNRegistry(), cheapEngine(t))
 	srv := httptest.NewServer(ctrl.Handler())
@@ -218,7 +222,7 @@ func TestControllerRejectsNonFiniteShapes(t *testing.T) {
 		{"out_channels -1", shapedSpec(-1, 8, 8), http.StatusBadRequest, "graph: node 1 has negative shape"},
 		{"out_h -1", shapedSpec(4, -1, 8), http.StatusBadRequest, "graph: node 1 has negative shape"},
 		{"out_w -1", shapedSpec(4, 8, -1), http.StatusBadRequest, "graph: node 1 has negative shape"},
-		{"H×W overflows", shapedSpec(4, 3037000500, 3037000500), http.StatusInternalServerError, "non-finite prediction"},
+		{"H×W overflows", shapedSpec(4, 3037000500, 3037000500), http.StatusBadRequest, "graph: node 1 has out_h × out_w (3037000500 × 3037000500) overflowing int"},
 	}
 	batch := BatchRequest{Requests: []PredictRequest{{Dataset: "cifar10", Model: "resnet18", NumServers: 2}}}
 	for _, tc := range cases {
@@ -262,5 +266,51 @@ func TestControllerRejectsNonFiniteShapes(t *testing.T) {
 		if item.Code != want || !strings.Contains(item.Error, wantText) || (want == 0) != (item.PredictedSeconds != 0) {
 			t.Errorf("batch item %d: code %d, error %q, predicted %v; want code %d %q", i, item.Code, item.Error, item.PredictedSeconds, want, wantText)
 		}
+	}
+}
+
+// stubRegressor answers every feature row with the same value.
+type stubRegressor float64
+
+func (s stubRegressor) Name() string                        { return "stub" }
+func (s stubRegressor) Fit(*tensor.Matrix, []float64) error { return nil }
+func (s stubRegressor) Predict([]float64) (float64, error)  { return float64(s), nil }
+
+// A prediction JSON cannot carry (+Inf, NaN; -Inf is floored) is a 500
+// with a message, on /v1/predict and on every batch item alike — never a
+// 200 header with no body.
+func TestControllerNonFinitePredictionIs500(t *testing.T) {
+	for _, v := range []float64{math.Inf(1), math.NaN()} {
+		e := NewInferenceEngine("cifar10", ghn.New(ghn.Config{HiddenDim: 8}, tensor.NewRNG(1)), stubRegressor(v))
+		srv := httptest.NewServer(NewController(NewGHNRegistry(), e).Handler())
+		req := PredictRequest{Dataset: "cifar10", Model: "resnet18", NumServers: 2}
+		wantText := fmt.Sprintf("core: non-finite prediction %v for dataset %q", v, "cifar10")
+
+		body, _ := json.Marshal(req)
+		resp := postJSON(t, srv.URL+"/v1/predict", body)
+		var reply struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+			t.Fatalf("%v: status %d with an undecodable body: %v", v, resp.StatusCode, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || reply.Error != wantText {
+			t.Errorf("%v: /v1/predict = %d %q, want 500 %q", v, resp.StatusCode, reply.Error, wantText)
+		}
+
+		body, _ = json.Marshal(BatchRequest{Requests: []PredictRequest{req, req}})
+		resp = postJSON(t, srv.URL+"/v1/predict/batch", body)
+		var br BatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || resp.StatusCode != http.StatusOK || len(br.Results) != 2 {
+			t.Fatalf("%v: batch status %d, %d results, body error %v", v, resp.StatusCode, len(br.Results), err)
+		}
+		resp.Body.Close()
+		for i, item := range br.Results {
+			if item.Code != http.StatusInternalServerError || item.Error != wantText || item.PredictedSeconds != 0 {
+				t.Errorf("%v: batch item %d = %d %q %v, want 500 %q", v, i, item.Code, item.Error, item.PredictedSeconds, wantText)
+			}
+		}
+		srv.Close()
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"predictddl/internal/graph"
 	"predictddl/internal/obs"
 	"predictddl/internal/regress"
-	"predictddl/internal/simulator"
 	"predictddl/internal/tensor"
 )
 
@@ -120,12 +119,13 @@ func (e *InferenceEngine) Embedding(g *graph.Graph) ([]float64, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
-	return e.embedding(g, g.Fingerprint())
+	return e.embedding(g, g.Fingerprint(), nil)
 }
 
-// embedding is Embedding with the fingerprint already computed (batch paths
-// hash once up front).
-func (e *InferenceEngine) embedding(g *graph.Graph, key string) ([]float64, error) {
+// embedding is Embedding with the fingerprint already computed: one cache
+// lookup, and on a miss the GHN pass, shared through m with the other jobs
+// of a request that miss on the same fingerprint.
+func (e *InferenceEngine) embedding(g *graph.Graph, key string, m *memo) ([]float64, error) {
 	e.mu.Lock()
 	cached, ok := e.cache.get(key)
 	hits, misses := e.cacheHits, e.cacheMisses
@@ -135,7 +135,7 @@ func (e *InferenceEngine) embedding(g *graph.Graph, key string) ([]float64, erro
 		return cached, nil
 	}
 	misses.Inc()
-	emb, err := e.ghn.Embed(g)
+	emb, err := m.embed(e, g, key)
 	if err != nil {
 		return nil, err
 	}
@@ -175,144 +175,37 @@ func parallelEach(n int, fn func(i int)) {
 }
 
 // EmbedAll returns the embedding of every graph, index-aligned with the
-// input. Cache misses are deduplicated by fingerprint and computed
-// concurrently on a worker pool sized by GOMAXPROCS — embeddings are pure
-// functions of (weights, graph), so results are identical to the serial
-// loop. The first bad graph fails the call.
+// input, on a worker pool sized by GOMAXPROCS; each distinct graph is
+// hashed once and each distinct missing architecture embedded once.
+// Embeddings are pure functions of (weights, graph), so results are
+// identical to the serial loop. The first bad graph fails the call.
 func (e *InferenceEngine) EmbedAll(graphs []*graph.Graph) ([][]float64, error) {
-	out, errs := e.embedEach(graphs)
-	for i, err := range errs {
-		switch {
-		case err == nil:
-		case graphs[i] == nil:
-			return nil, fmt.Errorf("core: nil graph at index %d", i)
-		default:
-			return nil, fmt.Errorf("core: embedding %q: %w", graphs[i].Name, err)
+	out := make([][]float64, len(graphs))
+	errs := make([]error, len(graphs))
+	m := new(memo)
+	parallelEach(len(graphs), func(i int) {
+		g := graphs[i]
+		if g == nil {
+			errs[i] = fmt.Errorf("core: nil graph at index %d", i)
+		} else if out[i], errs[i] = e.embedding(g, m.fingerprint(g), m); errs[i] != nil {
+			errs[i] = fmt.Errorf("core: embedding %q: %w", g.Name, errs[i])
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// embedEach is EmbedAll with the failures attributed per item: errs is nil
-// when every graph embedded, otherwise errs[i] says why out[i] is nil (a
-// nil graph, or the GHN's own error, which every graph sharing that
-// fingerprint gets). Each graph is fingerprinted exactly once.
-func (e *InferenceEngine) embedEach(graphs []*graph.Graph) (out [][]float64, errs []error) {
-	out = make([][]float64, len(graphs))
-	fail := func(i int, err error) {
-		if errs == nil {
-			errs = make([]error, len(graphs))
-		}
-		errs[i] = err
-	}
-	// Hash before taking the lock: a fingerprint is a SHA-256 over every
-	// node and edge (graph.BenchmarkFingerprintZoo: ≈ 0.1 µs a node) and
-	// concurrent predictions wait on e.mu.
-	keys := make([]string, len(graphs))
-	for i, g := range graphs {
-		if g == nil {
-			fail(i, fmt.Errorf("core: nil graph"))
-			continue
-		}
-		keys[i] = g.Fingerprint()
-	}
-
-	// Partition into cache hits and distinct misses under one lock pass.
-	type miss struct {
-		g   *graph.Graph
-		key string
-		emb []float64
-		err error
-	}
-	var misses []miss
-	missAt := make(map[string]int) // fingerprint → index into misses
-	var nHits, nMisses uint64
-	e.mu.Lock()
-	for i, g := range graphs {
-		if g == nil {
-			continue
-		}
-		if emb, ok := e.cache.get(keys[i]); ok {
-			out[i] = emb
-			nHits++
-			continue
-		}
-		nMisses++
-		if _, dup := missAt[keys[i]]; !dup {
-			missAt[keys[i]] = len(misses)
-			misses = append(misses, miss{g: g, key: keys[i]})
-		}
-	}
-	hitCtr, missCtr := e.cacheHits, e.cacheMisses
-	e.mu.Unlock()
-	hitCtr.Add(nHits)
-	missCtr.Add(nMisses)
-	if len(misses) == 0 {
-		return out, errs
-	}
-
-	parallelEach(len(misses), func(i int) {
-		m := &misses[i]
-		m.emb, m.err = e.ghn.Embed(m.g)
-	})
-	e.mu.Lock()
-	for i := range misses {
-		if m := &misses[i]; m.err == nil {
-			m.emb = e.cache.put(m.key, m.emb)
-		}
-	}
-	e.mu.Unlock()
-
-	// Fill the remaining slots from this call's own results, not the cache:
-	// with a bounded cache, a miss set larger than the cap evicts early
-	// insertions before this loop runs, and a cache read would yield nil.
-	for i, g := range graphs {
-		if g == nil || out[i] != nil {
-			continue
-		}
-		m := &misses[missAt[keys[i]]]
-		if out[i] = m.emb; m.err != nil {
-			fail(i, m.err)
-		}
-	}
-	return out, errs
-}
-
 // Predict estimates the training time in seconds for running the DNN on
-// the cluster. Negative regressor outputs are clamped to a small positive
-// floor (times are physical quantities).
+// the cluster: the one-job case of PredictBatch. Negative regressor outputs
+// are clamped to a small positive floor (times are physical quantities).
 func (e *InferenceEngine) Predict(g *graph.Graph, c cluster.Cluster) (float64, error) {
-	return e.PredictTraced(g, c, nil)
-}
-
-// PredictTraced is Predict with optional stage timing: the embed and
-// regress stages are recorded on tr. A nil trace is a no-op, so callers
-// thread traces unconditionally; results are identical either way.
-func (e *InferenceEngine) PredictTraced(g *graph.Graph, c cluster.Cluster, tr *obs.Trace) (float64, error) {
-	if g == nil {
-		return 0, fmt.Errorf("core: nil graph")
-	}
-	if err := c.Validate(); err != nil {
-		return 0, fmt.Errorf("core: features: %w", err)
-	}
-	if e.kind == regress.FeatureAnalytic {
-		// Analytic backends never touch the GHN: the feature row is a pure
-		// function of the graph's scalar stats and the cluster descriptor.
-		stop := tr.Stage("features")
-		feats, err := simulator.AnalyticFeaturesFor(g, c)
-		stop()
-		if err != nil {
-			return 0, fmt.Errorf("core: features: %w", err)
-		}
-		return e.regress(g, feats, tr)
-	}
-	stop := tr.Stage("embed")
-	emb, err := e.Embedding(g)
-	stop()
-	if err != nil {
-		return 0, err
-	}
-	return e.regress(g, tensor.Concat(emb, c.Features()), tr)
+	j := e.newJob(g, c, nil)
+	j.price(nil, nil)
+	return j.secs, j.err
 }
 
 // regress runs the fitted model on one feature row and applies the
@@ -337,32 +230,23 @@ type BatchPrediction struct {
 	Err     error
 }
 
-// PredictBatch predicts every (graphs[i], clusters[i]) pair, embedding
-// distinct architectures concurrently and hashing each graph once. Results
-// are index-aligned and bit-identical to Predict; a bad item (nil or cyclic
-// graph, invalid cluster) records its error without failing the batch.
+// PredictBatch predicts every (graphs[i], clusters[i]) pair on the batch
+// body (DESIGN.md §17): items run on a worker pool, each distinct
+// *graph.Graph is fingerprinted once and each distinct missing
+// architecture embedded once. Results are index-aligned and bit-identical
+// to Predict, errors included; a bad item (nil or cyclic graph, invalid
+// cluster) records its error without failing the batch.
 func (e *InferenceEngine) PredictBatch(graphs []*graph.Graph, clusters []cluster.Cluster) ([]BatchPrediction, error) {
 	if len(graphs) != len(clusters) {
 		return nil, fmt.Errorf("core: batch has %d graphs but %d clusters", len(graphs), len(clusters))
 	}
 	out := make([]BatchPrediction, len(graphs))
-	if e.kind == regress.FeatureAnalytic {
-		// Analytic backends never embed; there is nothing to batch.
-		for i := range graphs {
-			out[i].Seconds, out[i].Err = e.Predict(graphs[i], clusters[i])
-		}
-		return out, nil
-	}
-	embs, errs := e.embedEach(graphs)
-	for i, g := range graphs {
-		if errs != nil && errs[i] != nil {
-			out[i].Err = errs[i]
-		} else if err := clusters[i].Validate(); err != nil {
-			out[i].Err = fmt.Errorf("core: features: %w", err)
-		} else {
-			out[i].Seconds, out[i].Err = e.regress(g, tensor.Concat(embs[i], clusters[i].Features()), nil)
-		}
-	}
+	m := new(memo)
+	parallelEach(len(graphs), func(i int) {
+		j := e.newJob(graphs[i], clusters[i], m)
+		j.price(m, nil)
+		out[i] = BatchPrediction{Seconds: j.secs, Err: j.err}
+	})
 	return out, nil
 }
 

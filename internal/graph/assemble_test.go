@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -138,7 +139,8 @@ func TestAssembledGraphsMatchParentDigest(t *testing.T) {
 
 // FromSpec reports the same first error, in the same words, as when it fed
 // AddNode and AddEdge: nodes in index order (unknown op, then costs, then
-// shape), then edges in list order (range, then self-loop), then Validate.
+// shape, then the H×W area — a check added since), then edges in list order
+// (range, then self-loop), then Validate.
 func TestFromSpecErrorTextAndOrder(t *testing.T) {
 	io := []NodeSpec{{Op: "input"}, {Op: "output"}}
 	for _, c := range []struct {
@@ -152,6 +154,12 @@ func TestFromSpecErrorTextAndOrder(t *testing.T) {
 			"graph: node 0 has negative costs"},
 		{"negative shape", Spec{Nodes: []NodeSpec{{Op: "input"}, {Op: "conv", OutW: -1}}},
 			"graph: node 1 has negative shape"},
+		{"negative shape before area", Spec{Nodes: []NodeSpec{{Op: "conv", OutChannels: -1, OutH: math.MaxInt, OutW: 2}}},
+			"graph: node 0 has negative shape"},
+		{"area overflows int", Spec{Nodes: []NodeSpec{{Op: "input"}, {Op: "conv", OutH: 3037000500, OutW: 3037000500}}},
+			"graph: node 1 has out_h × out_w (3037000500 × 3037000500) overflowing int"},
+		{"area at MaxInt is legal", Spec{Nodes: []NodeSpec{{Op: "input", OutH: 1, OutW: math.MaxInt}}, Edges: [][2]int{{0, 0}}},
+			"graph: self-loop on node 0"},
 		{"node before edge", Spec{Nodes: []NodeSpec{{Op: "input"}, {Op: "nope"}}, Edges: [][2]int{{0, 9}}},
 			`graph: node 1: graph: unknown operation "nope"`},
 		{"out of range", Spec{Nodes: io, Edges: [][2]int{{0, 1}, {0, 2}, {1, 1}}},

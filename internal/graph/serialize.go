@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NodeSpec is the wire representation of one node.
 type NodeSpec struct {
@@ -89,6 +92,10 @@ func FromSpec(s *Spec) (*Graph, error) {
 		// flattened tensor's H and W); a negative one would embed as NaN.
 		if ns.OutChannels < 0 || ns.OutH < 0 || ns.OutW < 0 {
 			return nil, fmt.Errorf("graph: node %d has negative shape", i)
+		}
+		// Its area too: an OutH·OutW past MaxInt wraps negative.
+		if ns.OutH > 0 && ns.OutW > math.MaxInt/ns.OutH {
+			return nil, fmt.Errorf("graph: node %d has out_h × out_w (%d × %d) overflowing int", i, ns.OutH, ns.OutW)
 		}
 		nodes[i] = Node{
 			Op:          op,

@@ -243,13 +243,20 @@ func (p *Predictor) PredictBatch(models []string, servers int) ([]float64, error
 	if servers < 1 {
 		return nil, fmt.Errorf("predictddl: need at least 1 server, got %d", servers)
 	}
+	// Each distinct model is built once; its items share the graph, which
+	// the engine then fingerprints and embeds once.
 	graphs := make([]*Graph, len(models))
 	clusters := make([]Cluster, len(models))
+	built := make(map[string]*Graph, len(models))
 	cl := cluster.Homogeneous(servers, p.spec)
 	for i, m := range models {
-		g, err := BuildModel(m, p.dataset)
-		if err != nil {
-			return nil, err
+		g, ok := built[m]
+		if !ok {
+			var err error
+			if g, err = BuildModel(m, p.dataset); err != nil {
+				return nil, err
+			}
+			built[m] = g
 		}
 		graphs[i] = g
 		clusters[i] = cl
