@@ -94,15 +94,16 @@ smoke:
 cover:
 	./scripts/cover.sh 80 $(COVER_FROM)
 
-# Short fuzz pass over every target: the request decoders behind
-# /v1/predict and /v1/predict/batch, graph.Spec's hand-written decoder
-# against encoding/json's, the collector's wire-frame codec, and the
-# regressor-checkpoint decoder. CI runs this; long exploratory sessions
-# use `go test -fuzz` directly.
+# Short fuzz pass over every target: the handlers behind /v1/predict and
+# /v1/predict/batch, the request decoder and graph.Spec's hand-written
+# decoder each against encoding/json's, the collector's wire-frame codec,
+# and the regressor-checkpoint decoder. CI runs this; long exploratory
+# sessions use `go test -fuzz` directly.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPredictRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzBatchRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSpecUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/regress -run '^$$' -fuzz FuzzLoadRegressor -fuzztime $(FUZZTIME)

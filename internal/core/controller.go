@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -286,29 +285,11 @@ type BatchResponse struct {
 	Trace *obs.TraceReport `json:"trace,omitempty"`
 }
 
-// admit is the front of both prediction handlers: POST only, the body
-// capped at maxBody and decoded into v under the trace's "decode" stage. It
-// writes the refusal and reports false when the request goes no further.
-func admit(w http.ResponseWriter, r *http.Request, tr *obs.Trace, maxBody int64, v any) bool {
-	if r.Method != http.MethodPost {
-		obs.HTTPError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
-	}
-	stop := tr.Stage("decode")
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
-	stop()
-	if err != nil {
-		obs.HTTPError(w, DecodeStatus(err), "invalid JSON: "+err.Error())
-		return false
-	}
-	return true
-}
-
 func (c *Controller) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(r)
 	maxBody, maxItems := c.limits()
 	var req BatchRequest
-	if !admit(w, r, tr, maxBody, &req) {
+	if _, ok := Admit(w, r, tr, maxBody, &req); !ok {
 		return
 	}
 	n := len(req.Requests)
@@ -389,7 +370,7 @@ func (c *Controller) handlePredict(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(r) // nil (and a no-op) unless the request set ?trace=1
 	maxBody, _ := c.limits()
 	var req PredictRequest
-	if !admit(w, r, tr, maxBody, &req) {
+	if _, ok := Admit(w, r, tr, maxBody, &req); !ok {
 		return
 	}
 	resp, code, err := c.predictOne(req, tr)
@@ -484,16 +465,6 @@ func checkStatus(err error) int {
 	default:
 		return http.StatusBadRequest
 	}
-}
-
-// DecodeStatus distinguishes an over-limit body (413, the MaxBytesReader
-// tripped) from malformed JSON (400). The gateway's front door shares it.
-func DecodeStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }
 
 // RejectBatch is batch admission, shared with the gateway so both front

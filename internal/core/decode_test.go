@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"predictddl/internal/graph"
+	"predictddl/internal/jsonscan"
 	"predictddl/internal/tensor"
 )
 
@@ -23,39 +25,136 @@ func customBody(tb testing.TB, g *graph.Graph, servers int) []byte {
 	return body
 }
 
-// benchDecode times what admit does with a body: a fresh json.Decoder and
-// Decode into a fresh request value.
-func benchDecode[T any](b *testing.B, body []byte) {
+// churnBody is bench/'s batch_churn body: 16 small random graphs (≈ 26
+// nodes, ≈ 2.7 KB of JSON each) in one batch.
+func churnBody(tb testing.TB) []byte {
+	rng := tensor.NewRNG(11)
+	small := graph.RandomSpec{MinStages: 1, MaxStages: 2, MinBlocks: 1, MaxBlocks: 2, MinChannels: 16}
+	items := make([][]byte, 16)
+	for i := range items {
+		items[i] = customBody(tb, graph.RandomGraphSpec(rng, graph.DefaultConfig(), small), 1+i)
+	}
+	return append(append([]byte(`{"requests":[`), bytes.Join(items, []byte{','})...), "]}"...)
+}
+
+// coldBody is bench/'s cold_custom body: one default-sized random graph
+// (≈ 78 nodes, ≈ 8 KB of JSON).
+func coldBody(tb testing.TB) []byte {
+	return customBody(tb, graph.RandomGraph(tensor.NewRNG(11), graph.DefaultConfig()), 8)
+}
+
+// zooBody is bench/'s warm_zoo body: a predict by name.
+const zooBody = `{"dataset":"cifar10","model":"resnet18","num_servers":8}`
+
+// benchDecode times what Admit does with a body once it is read: decode it
+// into a fresh request value.
+func benchDecode[T PredictRequest | BatchRequest](b *testing.B, body []byte) {
 	b.Helper()
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var req T
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		if err := decodeRequest(body, &req); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkDecodeBatch16Custom is bench/'s batch_churn body: 16 small
-// random graphs (≈ 26 nodes, ≈ 2.7 KB of JSON each) in one batch.
-func BenchmarkDecodeBatch16Custom(b *testing.B) {
-	rng := tensor.NewRNG(11)
-	small := graph.RandomSpec{MinStages: 1, MaxStages: 2, MinBlocks: 1, MaxBlocks: 2, MinChannels: 16}
-	items := make([][]byte, 16)
-	for i := range items {
-		items[i] = customBody(b, graph.RandomGraphSpec(rng, graph.DefaultConfig(), small), 1+i)
+func BenchmarkDecodeBatch16Custom(b *testing.B) { benchDecode[BatchRequest](b, churnBody(b)) }
+
+func BenchmarkDecodePredictCustom(b *testing.B) { benchDecode[PredictRequest](b, coldBody(b)) }
+
+func BenchmarkDecodePredictZoo(b *testing.B) { benchDecode[PredictRequest](b, []byte(zooBody)) }
+
+// decodeAgainstStdlib is the request decoder's contract: decodeRequest
+// succeeds or fails as json.Unmarshal does on the same bytes, and on
+// success gives the same value.
+func decodeAgainstStdlib[T PredictRequest | BatchRequest](t *testing.T, body []byte) {
+	t.Helper()
+	var got, want T
+	gotErr, wantErr := decodeRequest(body, &got), json.Unmarshal(body, &want)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%T %q: decodeRequest err = %v, stdlib err = %v", got, truncate(body), gotErr, wantErr)
 	}
-	body := append(append([]byte(`{"requests":[`), bytes.Join(items, []byte{','})...), "]}"...)
-	benchDecode[BatchRequest](b, body)
+	if gotErr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T %q:\n decodeRequest %+v\n stdlib        %+v", got, truncate(body), got, want)
+	}
 }
 
-// BenchmarkDecodePredictCustom is bench/'s cold_custom body: one
-// default-sized random graph (≈ 78 nodes, ≈ 8 KB of JSON).
-func BenchmarkDecodePredictCustom(b *testing.B) {
-	g := graph.RandomGraph(tensor.NewRNG(11), graph.DefaultConfig())
-	benchDecode[PredictRequest](b, customBody(b, g, 8))
+// A bench-shaped body that slid into the fallback would keep every other
+// test green and only lose the speed, so the scanner's own acceptance is
+// asserted.
+func TestDecodeFastPathCoversBenchBodies(t *testing.T) {
+	fast := func(name string, body []byte, scan func(*jsonscan.Cursor) bool) {
+		if c := jsonscan.New(body); !scan(&c) || !c.End() {
+			t.Errorf("%s: fast path refused at byte %d of %d: %.80q", name, c.Pos(), len(body), body[c.Pos():])
+		}
+	}
+	predict := func(c *jsonscan.Cursor) bool { return scanPredict(c, new(PredictRequest)) }
+	batch := func(c *jsonscan.Cursor) bool { return scanBatch(c, new(BatchRequest)) }
+	fast("batch_churn", churnBody(t), batch)
+	fast("cold_custom", coldBody(t), predict)
+	fast("warm_zoo", []byte(zooBody), predict)
+	fast("zoo batch", []byte(`{"requests":[`+zooBody+`,`+zooBody+`]}`), batch)
+	fast("padded", []byte(" {\n\t\"dataset\" : \"cifar10\" , \"server_spec\":\"\",\"num_servers\":0 } \r\n"), predict)
+	fast("empty batch", []byte(`{"requests":[]}`), batch)
+	for _, body := range [][]byte{churnBody(t), []byte(`{"requests":[]}`)} {
+		decodeAgainstStdlib[BatchRequest](t, body)
+	}
+	for _, body := range [][]byte{coldBody(t), []byte(zooBody)} {
+		decodeAgainstStdlib[PredictRequest](t, body)
+	}
+}
+
+// decodeSeeds are bodies on both sides of the fast path's grammar: what the
+// benchmark sends, cut short, and every class of input it hands to stdlib.
+func decodeSeeds(tb testing.TB) [][]byte {
+	seeds := [][]byte{[]byte(zooBody), coldBody(tb)}
+	for _, body := range seeds[:2] {
+		for _, cut := range []int{1, len(body) / 3, len(body) / 2, len(body) - 1} {
+			seeds = append(seeds, body[:cut])
+		}
+	}
+	item := `{"dataset":"cifar10","graph":{"name":"g","nodes":[{"op":"input"},{"op":"output"}],"edges":[[0,1]]},"num_servers":2}`
+	for _, body := range []string{
+		`{"requests":[` + item + `,` + zooBody + `]}`,
+		`{"requests":[]}`,
+		`{"Dataset":"cifar10","MODEL":"resnet18","num_servers":8}`,
+		`{"dataset":"cifar10","pad":"xxxxxxxx","model":"resnet18","num_servers":8}`,
+		`{"requests":[` + zooBody + `],"pad":[1,2,3]}`,
+		`{"dataset":"cifar10","graph":null,"num_servers":2}`,
+		`{"dataset":"a","dataset":"b","num_servers":1}`,
+		`{"requests":[` + zooBody + `],"requests":[]}`,
+		`{"requests":null}`,
+		`{"requests":[null]}`,
+		`{"dataset":"caf\u00e9","num_servers":1.5}`,
+		`{"dataset":"cifar10","num_servers":-0,"server_spec":"cloudlab-p100"}`,
+		zooBody + ` x`,
+		zooBody + `{"x":1}`,
+		zooBody + " \n",
+		`null`,
+		`[]`,
+		``,
+	} {
+		seeds = append(seeds, []byte(body))
+	}
+	return seeds
+}
+
+// FuzzDecodeRequest is the differential check on arbitrary bytes: every
+// body decodes as a predict and as a batch, and decodeRequest must agree
+// with json.Unmarshal on error-vs-success and on the value. The churn body
+// (≈ 45 KB) stays out of the corpus to keep it mutable; it adds no syntax
+// the cold body and the small batches lack.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, body := range decodeSeeds(f) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		decodeAgainstStdlib[PredictRequest](t, body)
+		decodeAgainstStdlib[BatchRequest](t, body)
+	})
 }
 
 // shapedSpec's valid four-node graph in wire form, for the table below to
@@ -126,8 +225,9 @@ func TestMalformedGraphStatusAndText(t *testing.T) {
 		{"missing comma", graphBody(`{"nodes":[{} {}]}`), 400, "invalid JSON: invalid character '{' after array element"},
 		{"truncated in graph", `{"dataset":"cifar10","graph":{"name":"g","nodes":[{"op":"inp`, 400, "invalid JSON: unexpected EOF"},
 		{"truncated after graph", `{"dataset":"cifar10","graph":{"name":"g"},"num_servers":`, 400, "invalid JSON: unexpected EOF"},
-		// Decode reads one value; what follows it was never looked at.
-		{"garbage after body", graphBody(`{"name":"g"}`) + ` x`, 400, "graph: empty graph"},
+		// The body is one value: what follows it is an error, as in
+		// json.Unmarshal (the streaming decoder this replaced never looked).
+		{"garbage after body", graphBody(`{"name":"g"}`) + ` x`, 400, "invalid JSON: invalid character 'x' after top-level value"},
 	}
 	srv := httptest.NewServer(NewController(NewGHNRegistry(), cheapEngine(t)).Handler())
 	defer srv.Close()

@@ -17,7 +17,7 @@ import (
 // 200 whenever the batch itself was admissible.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req core.BatchRequest
-	if _, ok := g.admit(w, r, &req); !ok {
+	if _, ok := core.Admit(w, r, nil, g.opts.MaxBodyBytes, &req); !ok {
 		return
 	}
 	if core.RejectBatch(w, len(req.Requests), g.opts.MaxBatchItems) {

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -100,27 +99,6 @@ func (g *Gateway) forwardOnce(r *http.Request, replica, path, rawQuery string, b
 	return res
 }
 
-// admit is the front door of both prediction handlers: POST only, the body
-// read whole under the admission cap (it is forwarded verbatim) and decoded
-// into v. It writes the refusal and reports false when the request goes no
-// further.
-func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, v any) (body []byte, ok bool) {
-	if r.Method != http.MethodPost {
-		obs.HTTPError(w, http.StatusMethodNotAllowed, "POST required")
-		return nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.opts.MaxBodyBytes))
-	if err != nil {
-		obs.HTTPError(w, core.DecodeStatus(err), "invalid request body: "+err.Error())
-		return nil, false
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		obs.HTTPError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return nil, false
-	}
-	return body, true
-}
-
 // handlePredict routes one prediction to its dataset's shard, walking the
 // failover chain when the owner is dark. A 404 from a live replica passes
 // through untouched (the dataset truly is unknown); only when every
@@ -128,7 +106,7 @@ func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, v any) (body []b
 // not overloaded, so no Retry-After.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req core.PredictRequest
-	body, ok := g.admit(w, r, &req)
+	body, ok := core.Admit(w, r, nil, g.opts.MaxBodyBytes, &req)
 	if !ok {
 		return
 	}

@@ -247,12 +247,12 @@ func TestAssembledGraphSlicesAreExactSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range []*Graph{MustBuild("densenet121", DefaultConfig()), RandomGraph(tensor.NewRNG(2), DefaultConfig()), fromSpec} {
-		if cap(g.Nodes) != len(g.Nodes) || cap(g.out) != len(g.out) || cap(g.in) != len(g.in) {
-			t.Fatalf("%s: Nodes %d/%d, out %d/%d, in %d/%d (len/cap)", g.Name,
-				len(g.Nodes), cap(g.Nodes), len(g.out), cap(g.out), len(g.in), cap(g.in))
+		if cap(g.Nodes) != len(g.Nodes) || cap(g.adj) != len(g.adj) || cap(g.off) != len(g.off) {
+			t.Fatalf("%s: Nodes %d/%d, adj %d/%d, off %d/%d (len/cap)", g.Name,
+				len(g.Nodes), cap(g.Nodes), len(g.adj), cap(g.adj), len(g.off), cap(g.off))
 		}
 		for i := range g.Nodes {
-			if o, in := g.out[i], g.in[i]; cap(o) != len(o) || cap(in) != len(in) {
+			if o, in := g.OutNeighbors(i), g.InNeighbors(i); cap(o) != len(o) || cap(in) != len(in) {
 				t.Fatalf("%s: node %d out %d/%d, in %d/%d (len/cap)", g.Name, i, len(o), cap(o), len(in), cap(in))
 			}
 		}
@@ -340,9 +340,11 @@ func TestFromSpecAllocs(t *testing.T) {
 // The slab trap (DESIGN.md "Graph memory layout"): carving nodes from
 // fixed-size chunks was as fast to build but made every retained small
 // graph pin its whole chunk. 2048 retained batch_churn-sized graphs cost
-// 9 555 056 bytes at 70d555e; exact-size assembly must not cost more.
+// 9 555 056 bytes at 70d555e, 8 340 384 with exact-size assembly and a
+// slice header per adjacency list, and 6 120 752 (6 202 736 under -race)
+// with compressed-row adjacency; the bound leaves a few percent over that.
 func TestRetainedGraphsCostNoMoreThanParent(t *testing.T) {
-	const parentBytes = 9_555_056
+	const parentBytes = 6_400_000
 	rng := tensor.NewRNG(5)
 	keep := make([]*Graph, 2048)
 	var before, after runtime.MemStats
@@ -356,7 +358,7 @@ func TestRetainedGraphsCostNoMoreThanParent(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	got := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("%d retained graphs: %d bytes, %d at the parent", len(keep), got, parentBytes)
+	t.Logf("%d retained graphs: %d bytes, bound %d", len(keep), got, parentBytes)
 	if got > parentBytes {
 		t.Errorf("%d retained graphs hold %d bytes, want <= %d", len(keep), got, parentBytes)
 	}

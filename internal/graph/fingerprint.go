@@ -33,7 +33,8 @@ func (g *Graph) Fingerprint() string {
 		writeInt(n.Params)
 		writeInt(n.FLOPs)
 	}
-	for _, succs := range g.out {
+	for u := range g.Nodes {
+		succs := g.OutNeighbors(u)
 		writeInt(int64(len(succs)))
 		for _, v := range succs {
 			writeInt(int64(v))

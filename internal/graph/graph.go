@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // Node is one primitive operation in a computational graph, annotated with
@@ -35,8 +37,11 @@ type Graph struct {
 	// Nodes holds the operation nodes indexed by Node.ID.
 	Nodes []*Node
 
-	out [][]int // adjacency: out[i] = IDs receiving i's output
-	in  [][]int // reverse adjacency
+	// adj holds every adjacency list in compressed-row form: list k is
+	// adj[off[k]:off[k+1]], the out-list of node i is list i (the IDs
+	// receiving i's output) and its in-list is list len(Nodes)+i.
+	adj []int
+	off []int32
 }
 
 // New returns an empty graph with the given architecture name.
@@ -48,19 +53,32 @@ func New(name string) *Graph {
 // the graph.
 func (g *Graph) AddNode(n *Node) int {
 	n.ID = len(g.Nodes)
+	if g.off == nil {
+		g.off = []int32{0}
+	}
+	// Two empty lists: the node's out-list after the last out-list, its
+	// in-list at the end.
+	g.off = slices.Insert(g.off, n.ID, g.off[n.ID])
+	g.off = append(g.off, g.off[len(g.off)-1])
 	g.Nodes = append(g.Nodes, n)
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	return n.ID
 }
 
-// AddEdge adds a dataflow edge from node u to node v.
+// AddEdge adds a dataflow edge from node u to node v. It copies the
+// adjacency into a new slab, so a list handed out earlier never changes.
 func (g *Graph) AddEdge(u, v int) error {
-	if err := checkEdge(u, v, len(g.Nodes)); err != nil {
+	n := len(g.Nodes)
+	if err := checkEdge(u, v, n); err != nil {
 		return err
 	}
-	g.out[u] = append(g.out[u], v)
-	g.in[v] = append(g.in[v], u)
+	i, j := g.off[u+1], g.off[n+v+1] // the ends of u's out-list and v's in-list
+	g.adj = slices.Concat(g.adj[:i], []int{v}, g.adj[i:j], []int{u}, g.adj[j:])
+	for k := u + 1; k < len(g.off); k++ {
+		g.off[k]++
+	}
+	for k := n + v + 1; k < len(g.off); k++ {
+		g.off[k]++
+	}
 	return nil
 }
 
@@ -80,39 +98,41 @@ func checkEdge(u, v, n int) error {
 // exact-size slice the caller just allocated), copies edges in order — so
 // adjacency order is what the same AddEdge calls would have produced — and
 // rejects a bad edge with AddEdge's error. Beyond nodes it allocates the
-// Graph, Nodes, one header block shared by out and in, and one adjacency
-// slab carved by degree; every slice it hands out has cap == len, so a later
-// AddNode/AddEdge reallocates instead of writing into a neighbouring list
-// (DESIGN.md "Graph memory layout").
+// Graph, Nodes, the offset array and the adjacency slab; every list it hands
+// out has cap == len, so a caller's append reallocates instead of writing
+// into a neighbouring list (DESIGN.md "Graph memory layout").
 func assemble(name string, nodes []Node, edges [][2]int) (*Graph, error) {
 	n := len(nodes)
-	heads := make([][]int, 2*n)
-	out, in := heads[:n:n], heads[n:]
-	slab := make([]int, 2*len(edges))
-	// Count degrees in the headers' own length fields: every list starts as
-	// an empty view of the slab and grows by one per incident edge, with
-	// nothing written yet.
-	for i := range heads {
-		heads[i] = slab[:0]
+	if len(edges) > math.MaxInt32/2 {
+		return nil, fmt.Errorf("graph: %d edges exceed the adjacency limit of %d", len(edges), math.MaxInt32/2)
 	}
+	// Degrees first, each list's in the entry after its own; a prefix sum
+	// then turns off[k] into the start of list k.
+	off := make([]int32, 2*n+1)
 	for _, e := range edges {
 		u, v := e[0], e[1]
 		if err := checkEdge(u, v, n); err != nil {
 			return nil, err
 		}
-		out[u] = out[u][:len(out[u])+1]
-		in[v] = in[v][:len(in[v])+1]
+		off[u+1]++
+		off[n+v+1]++
 	}
-	off := 0
-	for i, h := range heads {
-		heads[i] = slab[off : off : off+len(h)]
-		off += len(h)
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
 	}
+	// Fill in edge order, advancing each list's start past what it holds;
+	// every off[k] ends at the start of list k+1, one entry early.
+	adj := make([]int, 2*len(edges))
 	for _, e := range edges {
-		out[e[0]] = append(out[e[0]], e[1])
-		in[e[1]] = append(in[e[1]], e[0])
+		u, v := e[0], e[1]
+		adj[off[u]] = v
+		off[u]++
+		adj[off[n+v]] = u
+		off[n+v]++
 	}
-	g := &Graph{Name: name, Nodes: make([]*Node, n), out: out, in: in}
+	copy(off[1:], off)
+	off[0] = 0
+	g := &Graph{Name: name, Nodes: make([]*Node, n), adj: adj, off: off}
 	for i := range nodes {
 		nodes[i].ID = i
 		g.Nodes[i] = &nodes[i]
@@ -124,21 +144,27 @@ func assemble(name string, nodes []Node, edges [][2]int) (*Graph, error) {
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
 
 // NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int {
-	var n int
-	for _, e := range g.out {
-		n += len(e)
-	}
-	return n
+func (g *Graph) NumEdges() int { return len(g.adj) / 2 }
+
+// list returns adjacency list k with cap == len.
+func (g *Graph) list(k int) []int {
+	lo, hi := g.off[k], g.off[k+1]
+	return g.adj[lo:hi:hi]
 }
 
 // OutNeighbors returns the IDs that consume node id's output. The slice is
 // owned by the graph; do not mutate.
-func (g *Graph) OutNeighbors(id int) []int { return g.out[id] }
+func (g *Graph) OutNeighbors(id int) []int {
+	_ = g.Nodes[id] // an out-of-range id panics rather than reading an in-list
+	return g.list(id)
+}
 
 // InNeighbors returns the IDs feeding node id. The slice is owned by the
 // graph; do not mutate.
-func (g *Graph) InNeighbors(id int) []int { return g.in[id] }
+func (g *Graph) InNeighbors(id int) []int {
+	_ = g.Nodes[id]
+	return g.list(len(g.Nodes) + id)
+}
 
 // ErrCyclic is returned by Validate and TopoOrder when the graph contains a
 // cycle.
@@ -149,10 +175,8 @@ var ErrCyclic = errors.New("graph: not a DAG (cycle detected)")
 func (g *Graph) TopoOrder() ([]int, error) {
 	n := len(g.Nodes)
 	indeg := make([]int, n)
-	for _, es := range g.out {
-		for _, v := range es {
-			indeg[v]++
-		}
+	for i := range indeg {
+		indeg[i] = len(g.InNeighbors(i))
 	}
 	queue := make([]int, 0, n)
 	for i := 0; i < n; i++ {
@@ -165,7 +189,7 @@ func (g *Graph) TopoOrder() ([]int, error) {
 		u := queue[0]
 		queue = queue[1:]
 		order = append(order, u)
-		for _, v := range g.out[u] {
+		for _, v := range g.OutNeighbors(u) {
 			indeg[v]--
 			if indeg[v] == 0 {
 				queue = append(queue, v)
@@ -197,19 +221,19 @@ func (g *Graph) Validate() error {
 		switch n.Op {
 		case OpInput:
 			inputs++
-			if len(g.in[n.ID]) != 0 {
+			if len(g.InNeighbors(n.ID)) != 0 {
 				return fmt.Errorf("graph: input node %d has predecessors", n.ID)
 			}
 		case OpOutput:
 			outputs++
-			if len(g.out[n.ID]) != 0 {
+			if len(g.OutNeighbors(n.ID)) != 0 {
 				return fmt.Errorf("graph: output node %d has successors", n.ID)
 			}
 		default:
-			if len(g.in[n.ID]) == 0 {
+			if len(g.InNeighbors(n.ID)) == 0 {
 				return fmt.Errorf("graph: node %d (%s) has no inputs", n.ID, n.Op)
 			}
-			if len(g.out[n.ID]) == 0 {
+			if len(g.OutNeighbors(n.ID)) == 0 {
 				return fmt.Errorf("graph: node %d (%s) has no consumers", n.ID, n.Op)
 			}
 		}
@@ -274,7 +298,7 @@ func (g *Graph) Depth() int {
 		if dist[u] < 0 {
 			continue
 		}
-		for _, v := range g.out[u] {
+		for _, v := range g.OutNeighbors(u) {
 			if dist[u]+1 > dist[v] {
 				dist[v] = dist[u] + 1
 				if dist[v] > best {
@@ -297,14 +321,14 @@ func (g *Graph) ShortestPathsFrom(src int, reverse bool) []int {
 	}
 	dist[src] = 0
 	queue := []int{src}
-	adj := g.out
+	adj := g.OutNeighbors
 	if reverse {
-		adj = g.in
+		adj = g.InNeighbors
 	}
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range adj[u] {
+		for _, v := range adj(u) {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)

@@ -66,8 +66,8 @@ func (g *Graph) Spec() *Spec {
 	if ne := g.NumEdges(); ne > 0 {
 		s.Edges = make([][2]int, 0, ne)
 	}
-	for u, succs := range g.out {
-		for _, v := range succs {
+	for u := range g.Nodes {
+		for _, v := range g.OutNeighbors(u) {
 			s.Edges = append(s.Edges, [2]int{u, v})
 		}
 	}

@@ -3,6 +3,8 @@ package graph
 import (
 	"encoding/json"
 	"strconv"
+
+	"predictddl/internal/jsonscan"
 )
 
 // specWire has Spec's fields and tags but none of its methods, so
@@ -16,297 +18,129 @@ type specWire Spec
 // too: it decodes into the existing elements, which the scanner does not.
 func (s *Spec) UnmarshalJSON(data []byte) error {
 	if s.Nodes == nil && s.Edges == nil {
-		c := cursor{b: data}
-		if c.spec(s) {
+		if _, ok := s.scanWhole(data); ok {
 			return nil
 		}
 	}
 	return json.Unmarshal(data, (*specWire)(s))
 }
 
-// cursor is a read position in a Spec's JSON text. Its methods recognise a
-// subset of JSON: objects with exactly Spec's and NodeSpec's keys, each at
-// most once and in any order; unescaped ASCII strings; plain integers that
-// fit their field; [from,to] edge pairs; any JSON whitespace. Every method
-// reports false on anything else — unknown or re-cased key, duplicate key,
-// escape, non-ASCII byte, null, fraction, exponent, overflow, an edge of
-// another length, malformed JSON — and the caller falls back to stdlib.
-type cursor struct {
-	b []byte
-	i int
+// scanWhole reads data as one whole Spec document, trailing whitespace
+// included, and writes s only on success. It returns where it stopped.
+func (s *Spec) scanWhole(data []byte) (int, bool) {
+	c := jsonscan.New(data)
+	out := *s
+	if !out.Scan(&c) || !c.End() {
+		return c.Pos(), false
+	}
+	*s = out
+	return c.Pos(), true
 }
 
-// spec reads a whole Spec document, trailing whitespace included. s is
-// written only on success, and only the fields the document names.
-func (c *cursor) spec(s *Spec) bool {
-	out := *s
-	var seen uint8
-	empty, ok := c.open('{', '}')
-	for more := !empty; ok && more; {
-		var key []byte
-		if key, ok = c.key(); !ok {
-			return false
-		}
-		var bit uint8
+// Scan reads one Spec object at the cursor in the canonical grammar: keys
+// exactly Spec's and NodeSpec's, each at most once and in any order;
+// [from,to] edge pairs; the cursor's strings and integers. It writes only
+// the fields the object names. On false — unknown or re-cased key,
+// duplicate, null, an edge of another length, or anything the cursor
+// refuses — s may be partly written and the caller falls back to stdlib.
+func (s *Spec) Scan(c *jsonscan.Cursor) bool {
+	return c.Object(func(key []byte) (int, bool) {
+		var ok bool
 		switch string(key) {
 		case "name":
 			var v []byte
-			v, ok = c.str()
-			out.Name, bit = string(v), 1
+			v, ok = c.Str()
+			s.Name = string(v)
+			return 0, ok
 		case "nodes":
-			out.Nodes, ok = c.nodes()
-			bit = 2
+			s.Nodes, ok = scanNodes(c)
+			return 1, ok
 		case "edges":
-			out.Edges, ok = c.edges()
-			bit = 4
+			s.Edges, ok = scanEdges(c)
+			return 2, ok
 		}
-		if !ok || bit == 0 || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-		more, ok = c.sep('}')
-	}
-	c.ws()
-	if !ok || c.i != len(c.b) {
-		return false
-	}
-	*s = out
-	return true
+		return 0, false
+	})
 }
 
-// nodes reads the "nodes" array. Like stdlib it returns an empty, non-nil
-// slice for [].
-func (c *cursor) nodes() ([]NodeSpec, bool) {
-	empty, ok := c.open('[', ']')
-	if !ok || empty {
-		return []NodeSpec{}, ok
-	}
-	n, ok := c.count('{', '}')
-	if !ok {
-		return nil, false
-	}
-	out := make([]NodeSpec, n)
-	for i := range out {
-		if !c.node(&out[i]) {
-			return nil, false
-		}
-		// count saw n items, so the last is followed by the bracket.
-		if more, ok := c.sep(']'); !ok || more != (i < n-1) {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-// node reads one node object into n.
-func (c *cursor) node(n *NodeSpec) bool {
-	var seen uint8
-	empty, ok := c.open('{', '}')
+// scanNodes reads the "nodes" array into a slice of exactly its length,
+// empty and non-nil for [] as stdlib's. Items are read into a stack buffer
+// first, so sizing the slice costs no second pass over the text.
+func scanNodes(c *jsonscan.Cursor) ([]NodeSpec, bool) {
+	var buf [128]NodeSpec
+	nodes := buf[:0]
+	empty, ok := c.Open('[', ']')
 	for more := !empty; ok && more; {
-		var key []byte
-		if key, ok = c.key(); !ok {
-			return false
+		nodes = append(nodes, NodeSpec{})
+		if !scanNode(c, &nodes[len(nodes)-1]) {
+			return nil, false
 		}
-		var bit uint8
+		more, ok = c.Sep(']')
+	}
+	return append(make([]NodeSpec, 0, len(nodes)), nodes...), ok
+}
+
+// scanNode reads one node object into n.
+func scanNode(c *jsonscan.Cursor, n *NodeSpec) bool {
+	return c.Object(func(key []byte) (int, bool) {
+		var ok bool
 		var str []byte
 		var num int64
 		switch string(key) {
 		case "op":
-			str, ok = c.str()
-			n.Op, bit = intern(str), 1
+			str, ok = c.Str()
+			n.Op = intern(str)
+			return 0, ok
 		case "label":
-			str, ok = c.str()
-			n.Label, bit = intern(str), 2
+			str, ok = c.Str()
+			n.Label = intern(str)
+			return 1, ok
 		case "out_channels":
-			num, ok = c.integer(strconv.IntSize)
-			n.OutChannels, bit = int(num), 4
+			num, ok = c.Integer(strconv.IntSize)
+			n.OutChannels = int(num)
+			return 2, ok
 		case "out_h":
-			num, ok = c.integer(strconv.IntSize)
-			n.OutH, bit = int(num), 8
+			num, ok = c.Integer(strconv.IntSize)
+			n.OutH = int(num)
+			return 3, ok
 		case "out_w":
-			num, ok = c.integer(strconv.IntSize)
-			n.OutW, bit = int(num), 16
+			num, ok = c.Integer(strconv.IntSize)
+			n.OutW = int(num)
+			return 4, ok
 		case "params":
-			n.Params, ok = c.integer(64)
-			bit = 32
+			n.Params, ok = c.Integer(64)
+			return 5, ok
 		case "flops":
-			n.FLOPs, ok = c.integer(64)
-			bit = 64
+			n.FLOPs, ok = c.Integer(64)
+			return 6, ok
 		}
-		if !ok || bit == 0 || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-		more, ok = c.sep('}')
-	}
-	return ok
+		return 0, false
+	})
 }
 
-// edges reads the "edges" array of [from,to] pairs.
-func (c *cursor) edges() ([][2]int, bool) {
-	empty, ok := c.open('[', ']')
-	if !ok || empty {
-		return [][2]int{}, ok
-	}
-	n, ok := c.count('[', ']')
-	if !ok {
-		return nil, false
-	}
-	out := make([][2]int, n)
-	for i := range out {
-		if empty, ok := c.open('[', ']'); !ok || empty {
+// scanEdges reads the "edges" array of [from,to] pairs, sized as
+// scanNodes sizes nodes.
+func scanEdges(c *jsonscan.Cursor) ([][2]int, bool) {
+	var buf [256][2]int
+	edges := buf[:0]
+	empty, ok := c.Open('[', ']')
+	for more := !empty; ok && more; {
+		var e [2]int
+		if empty, ok := c.Open('[', ']'); !ok || empty {
 			return nil, false
 		}
-		for k := range out[i] {
-			v, ok := c.integer(strconv.IntSize)
+		for k := range e {
+			v, ok := c.Integer(strconv.IntSize)
 			// The pair's one comma, then its bracket.
-			if more, sepOK := c.sep(']'); !ok || !sepOK || more != (k == 0) {
+			if more, sepOK := c.Sep(']'); !ok || !sepOK || more != (k == 0) {
 				return nil, false
 			}
-			out[i][k] = int(v)
+			e[k] = int(v)
 		}
-		if more, ok := c.sep(']'); !ok || more != (i < n-1) {
-			return nil, false
-		}
+		edges = append(edges, e)
+		more, ok = c.Sep(']')
 	}
-	return out, true
-}
-
-// count sizes the array the cursor stands in: the number of open…close
-// items before the array's own bracket. It does not move the cursor. It
-// gives up on an escape or on nesting inside an item, both outside the
-// grammar, so the allocation it sizes is never larger than the one stdlib
-// would grow for the same bytes.
-func (c *cursor) count(open, close byte) (int, bool) {
-	n, inItem, inStr := 0, false, false
-	for _, ch := range c.b[c.i:] {
-		switch {
-		case inStr:
-			if ch == '\\' {
-				return 0, false
-			}
-			inStr = ch != '"'
-		case ch == '"':
-			inStr = true
-		case ch == open && !inItem:
-			inItem = true
-			n++
-		case ch == close && inItem:
-			inItem = false
-		case ch == ']':
-			return n, !inItem
-		case ch == '{' || ch == '[':
-			return 0, false
-		}
-	}
-	return 0, false
-}
-
-// ws skips JSON whitespace.
-func (c *cursor) ws() {
-	for c.i < len(c.b) {
-		switch c.b[c.i] {
-		case ' ', '\n', '\t', '\r':
-			c.i++
-		default:
-			return
-		}
-	}
-}
-
-// open consumes an opening bracket and the whitespace after it, and the
-// closing bracket too when the container is empty.
-func (c *cursor) open(open, close byte) (empty, ok bool) {
-	c.ws()
-	if c.i >= len(c.b) || c.b[c.i] != open {
-		return false, false
-	}
-	c.i++
-	c.ws()
-	if c.i < len(c.b) && c.b[c.i] == close {
-		c.i++
-		return true, true
-	}
-	return false, true
-}
-
-// sep consumes what follows a container's item: a comma (more is true, the
-// cursor is at the next item) or the closing bracket.
-func (c *cursor) sep(close byte) (more, ok bool) {
-	c.ws()
-	if c.i >= len(c.b) {
-		return false, false
-	}
-	switch c.b[c.i] {
-	case ',':
-		c.i++
-		c.ws()
-		return true, true
-	case close:
-		c.i++
-		return false, true
-	}
-	return false, false
-}
-
-// key reads an object key and its colon, leaving the cursor at the value.
-func (c *cursor) key() ([]byte, bool) {
-	k, ok := c.str()
-	c.ws()
-	if !ok || c.i >= len(c.b) || c.b[c.i] != ':' {
-		return nil, false
-	}
-	c.i++
-	c.ws()
-	return k, true
-}
-
-// str reads a string of unescaped ASCII; the result aliases the input.
-func (c *cursor) str() ([]byte, bool) {
-	if c.i >= len(c.b) || c.b[c.i] != '"' {
-		return nil, false
-	}
-	start := c.i + 1
-	for i := start; i < len(c.b); i++ {
-		switch ch := c.b[i]; {
-		case ch == '"':
-			c.i = i + 1
-			return c.b[start:i], true
-		case ch < 0x20 || ch >= 0x80 || ch == '\\':
-			return nil, false
-		}
-	}
-	return nil, false
-}
-
-// integer reads -?(0|[1-9][0-9]*) as a two's-complement value of the given
-// width. A fraction or exponent after it fails the next sep.
-func (c *cursor) integer(bits int) (int64, bool) {
-	i := c.i
-	neg := i < len(c.b) && c.b[i] == '-'
-	if neg {
-		i++
-	}
-	start := i
-	var v uint64
-	for ; i < len(c.b) && c.b[i]-'0' <= 9; i++ {
-		if v > (1<<63)/10 {
-			return 0, false
-		}
-		v = v*10 + uint64(c.b[i]-'0')
-	}
-	max := uint64(1)<<(bits-1) - 1
-	if neg {
-		max++
-	}
-	if i == start || (c.b[start] == '0' && i > start+1) || v > max {
-		return 0, false
-	}
-	c.i = i
-	if neg {
-		return -int64(v), true
-	}
-	return int64(v), true
+	return append(make([][2]int, 0, len(edges)), edges...), ok
 }
 
 // intern returns b as a string, reusing the package's constant when b is an

@@ -139,8 +139,8 @@ func TestSpecFastPathCoversGeneratedSpecs(t *testing.T) {
 	}
 	for name, data := range specs {
 		var s Spec
-		if c := (cursor{b: data}); !c.spec(&s) {
-			t.Fatalf("%s: fast path refused at byte %d of %d: %.80q", name, c.i, len(data), data[c.i:])
+		if at, ok := s.scanWhole(data); !ok {
+			t.Fatalf("%s: fast path refused at byte %d of %d: %.80q", name, at, len(data), data[at:])
 		}
 		checkAgainstStdlib(t, data)
 	}
@@ -149,8 +149,8 @@ func TestSpecFastPathCoversGeneratedSpecs(t *testing.T) {
 func TestSpecFastPathHandWritten(t *testing.T) {
 	for name, doc := range fastCases {
 		var s Spec
-		if c := (cursor{b: []byte(doc)}); !c.spec(&s) {
-			t.Errorf("%s: fast path refused %q at byte %d", name, doc, c.i)
+		if at, ok := s.scanWhole([]byte(doc)); !ok {
+			t.Errorf("%s: fast path refused %q at byte %d", name, doc, at)
 		}
 		checkAgainstStdlib(t, []byte(doc))
 	}
@@ -159,7 +159,7 @@ func TestSpecFastPathHandWritten(t *testing.T) {
 func TestSpecFallbackCases(t *testing.T) {
 	for name, doc := range fallbackCases {
 		s := Spec{Name: "untouched"}
-		if c := (cursor{b: []byte(doc)}); c.spec(&s) {
+		if _, ok := s.scanWhole([]byte(doc)); ok {
 			t.Errorf("%s: fast path accepted %q", name, doc)
 		}
 		if s.Name != "untouched" || s.Nodes != nil || s.Edges != nil {

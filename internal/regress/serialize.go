@@ -218,6 +218,10 @@ func fromEnvelope(env *envelope) (Regressor, error) {
 		if err := decodeBlob(env.Blob, &s); err != nil {
 			return nil, fmt.Errorf("regress: load polynomial: %w", err)
 		}
+		// PolynomialFeatures panics on a degree Fit would have refused.
+		if s.Linear != nil && s.Degree < 1 {
+			return nil, fmt.Errorf("regress: load polynomial: degree %d < 1", s.Degree)
+		}
 		p := &PolynomialRegression{Degree: s.Degree, Lambda: s.Lambda, inputDim: s.InputDim, preScaler: s.PreScaler.restore()}
 		if s.Linear != nil {
 			p.linear = &LinearRegression{Lambda: s.Linear.Lambda, scaler: s.Linear.Scaler.restore(), coef: s.Linear.Coef}
