@@ -1,8 +1,8 @@
 package predictddl
 
 import (
+	"predictddl/internal/costmodel"
 	"predictddl/internal/nas"
-	"predictddl/internal/paleo"
 	"predictddl/internal/sched"
 	"predictddl/internal/simulator"
 )
@@ -29,7 +29,7 @@ type (
 	// NASObjective scores an architecture (higher is better).
 	NASObjective = nas.Objective
 	// PaleoModel is the analytical baseline predictor.
-	PaleoModel = paleo.Model
+	PaleoModel = costmodel.Paleo
 )
 
 // Queue policies for NewScheduler.
@@ -46,7 +46,7 @@ func (p *Predictor) NewScheduler(totalServers int, policy SchedPolicy) (*sched.S
 	sim := simulator.New(1, simulator.Options{})
 	oracle := func(g *Graph, c Cluster) (float64, error) {
 		return sim.TrainingTime(simulator.Workload{
-			Graph: g, Dataset: p.dataset, BatchPerServer: 128, Epochs: 10,
+			Graph: g, Dataset: p.dataset, BatchPerServer: costmodel.BatchPerServer, Epochs: costmodel.Epochs,
 		}, c)
 	}
 	return sched.New(sched.Config{
@@ -77,4 +77,4 @@ func (p *Predictor) SearchArchitectures(opts NASOptions, objective NASObjective)
 // AnalyticalBaseline returns a Paleo-style analytical predictor for the
 // predictor's dataset, useful for baseline comparisons without any
 // training data.
-func (p *Predictor) AnalyticalBaseline() *PaleoModel { return paleo.New(p.dataset) }
+func (p *Predictor) AnalyticalBaseline() *PaleoModel { return &PaleoModel{Dataset: p.dataset} }

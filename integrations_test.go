@@ -76,5 +76,5 @@ func TestAnalyticalBaseline(t *testing.T) {
 	}
 	// Paleo needs no training: it works without any campaign, but the
 	// learned engine should be closer to ground truth on depthwise-heavy
-	// models (asserted in internal/paleo tests).
+	// models (asserted in internal/costmodel tests).
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // AnalyzerTimeNow keeps wall-clock time and process-global randomness out
-// of the deterministic packages (simulator, ghn, tensor): replayable
+// of the deterministic packages (simulator, costmodel, ghn, tensor): replayable
 // simulations and bit-reproducible training must draw all entropy from an
 // explicitly seeded source (tensor.RNG / rand.New(rand.NewSource(seed)))
 // and take timestamps, if any, from an injected clock.
@@ -22,7 +22,7 @@ var AnalyzerTimeNow = &Analyzer{
 // deterministicPkg matches the packages whose outputs must be replayable.
 func deterministicPkg(pkgPath string) bool {
 	switch pkgPath[strings.LastIndex(pkgPath, "/")+1:] {
-	case "simulator", "ghn", "tensor":
+	case "simulator", "costmodel", "ghn", "tensor":
 		return true
 	}
 	return false

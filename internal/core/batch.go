@@ -5,11 +5,11 @@ import (
 	"sync"
 
 	"predictddl/internal/cluster"
+	"predictddl/internal/costmodel"
 	"predictddl/internal/dataset"
 	"predictddl/internal/graph"
 	"predictddl/internal/obs"
 	"predictddl/internal/regress"
-	"predictddl/internal/simulator"
 	"predictddl/internal/tensor"
 )
 
@@ -72,7 +72,7 @@ func (j *job) price(m *memo, tr *obs.Trace) {
 		// and the cluster descriptor.
 		stop := tr.Stage("features")
 		var err error
-		feats, err = simulator.AnalyticFeaturesFor(j.g, j.cl)
+		feats, err = costmodel.AnalyticFeaturesFor(j.g, j.cl)
 		stop()
 		if err != nil {
 			j.err = fmt.Errorf("core: features: %w", err)

@@ -28,7 +28,7 @@ type InferenceEngine struct {
 	model   regress.Regressor
 	// kind is the model's feature schema, fixed at construction: embedding
 	// backends consume [GHN embedding ‖ cluster features], analytic backends
-	// (the roofline) consume simulator.AnalyticFeatures and never touch the
+	// (the roofline) consume costmodel.AnalyticFeatures and never touch the
 	// GHN on the predict path.
 	kind regress.FeatureKind
 

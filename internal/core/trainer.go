@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"predictddl/internal/costmodel"
 	"predictddl/internal/dataset"
 	"predictddl/internal/ghn"
 	"predictddl/internal/graph"
@@ -61,13 +62,13 @@ func (e *InferenceEngine) designMatrix(points []simulator.DataPoint, gcfg graph.
 }
 
 // AnalyticDesignMatrix assembles the regression dataset for analytic-kind
-// backends: each row is simulator.AnalyticFeatures (graph scalars ‖ cluster
+// backends: each row is costmodel.AnalyticFeatures (graph scalars ‖ cluster
 // features) with no GHN involvement.
 func AnalyticDesignMatrix(points []simulator.DataPoint) (*tensor.Matrix, []float64, error) {
 	if len(points) == 0 {
 		return nil, nil, fmt.Errorf("core: no campaign points")
 	}
-	x := tensor.NewMatrix(len(points), simulator.NumAnalyticFeatures())
+	x := tensor.NewMatrix(len(points), costmodel.NumAnalyticFeatures())
 	y := make([]float64, len(points))
 	for i, p := range points {
 		row, err := p.AnalyticFeatures()
@@ -89,7 +90,7 @@ type TrainOptions struct {
 	// without operation-dependent normalization, not the paper's GHN-2;
 	// pass ghn.DefaultConfig() for GHN-2. Every caller that leaves this
 	// zero (predictddl.Train, the experiments lab, the benchmark) therefore
-	// trains the GHN-1 variant; see ROADMAP item 3.
+	// trains the GHN-1 variant; see ROADMAP item 6.
 	GHNConfig ghn.Config
 	// GHNTraining controls the proxy-objective training run.
 	GHNTraining ghn.TrainConfig

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"predictddl/internal/cluster"
+	"predictddl/internal/costmodel"
 	"predictddl/internal/graph"
-	"predictddl/internal/paleo"
 	"predictddl/internal/regress"
 	"predictddl/internal/tensor"
 )
@@ -59,7 +59,7 @@ func ThreeWayBaselines(lab *Lab) ([]BaselineRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	pal := paleo.New(d)
+	pal := costmodel.Paleo{Dataset: d}
 	spec := lab.SpecFor(d)
 
 	var rows []BaselineRow

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"predictddl/internal/cluster"
+	"predictddl/internal/costmodel"
 	"predictddl/internal/graph"
 	"predictddl/internal/regress"
 	"predictddl/internal/simulator"
@@ -116,7 +117,7 @@ func ConfidenceCalibration(lab *Lab) ([]ConfidenceRow, float64, error) {
 			return nil, 0, err
 		}
 		actual, err := sim.TrainingTime(simulator.Workload{
-			Graph: gr, Dataset: d, BatchPerServer: 128, Epochs: 10,
+			Graph: gr, Dataset: d, BatchPerServer: costmodel.BatchPerServer, Epochs: costmodel.Epochs,
 		}, c)
 		if err != nil {
 			return nil, 0, err

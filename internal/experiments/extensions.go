@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"predictddl/internal/cluster"
+	"predictddl/internal/costmodel"
 	"predictddl/internal/ghn"
 	"predictddl/internal/graph"
 	"predictddl/internal/regress"
@@ -80,14 +81,14 @@ func HeterogeneousClusters(lab *Lab) ([]HeteroRow, error) {
 		for n := 2; n <= 20; n += 2 {
 			c := mixedCPUCluster(n)
 			secs, err := sim.TrainingTime(simulator.Workload{
-				Graph: gr, Dataset: d, BatchPerServer: 128, Epochs: 10,
+				Graph: gr, Dataset: d, BatchPerServer: costmodel.BatchPerServer, Epochs: costmodel.Epochs,
 			}, c)
 			if err != nil {
 				return nil, err
 			}
 			points = append(points, simulator.DataPoint{
 				Model: m, Dataset: d.Name, NumServers: n,
-				ServerSpecName: "mixed-cpu", BatchPerServer: 128, Epochs: 10,
+				ServerSpecName: "mixed-cpu", BatchPerServer: costmodel.BatchPerServer, Epochs: costmodel.Epochs,
 				ClusterFeatures: c.Features(),
 				NumLayers:       gr.NumLayers(), NumParams: gr.TotalParams(),
 				FLOPs: gr.TotalFLOPs(), NumNodes: gr.NumNodes(),
@@ -127,7 +128,7 @@ func HeterogeneousClusters(lab *Lab) ([]HeteroRow, error) {
 				return nil, err
 			}
 			actual, err := sim.TrainingTime(simulator.Workload{
-				Graph: gr, Dataset: d, BatchPerServer: 128, Epochs: 10,
+				Graph: gr, Dataset: d, BatchPerServer: costmodel.BatchPerServer, Epochs: costmodel.Epochs,
 			}, c)
 			if err != nil {
 				return nil, err

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"predictddl/internal/cluster"
+	"predictddl/internal/costmodel"
 	"predictddl/internal/ernest"
 	"predictddl/internal/graph"
 	"predictddl/internal/regress"
@@ -131,7 +132,7 @@ func Fig13BatchJobs(lab *Lab) ([]Fig13Row, error) {
 			var machines []int
 			var secs []float64
 			for _, n := range ernestPilotConfigs {
-				w := simulator.Workload{Graph: gr, Dataset: d, BatchPerServer: 128, Epochs: ernestPilotEpochs}
+				w := simulator.Workload{Graph: gr, Dataset: d, BatchPerServer: costmodel.BatchPerServer, Epochs: ernestPilotEpochs}
 				t, err := sim.TrainingTime(w, cluster.Homogeneous(n, spec))
 				if err != nil {
 					return nil, err

@@ -30,7 +30,7 @@ type LeaderboardCorpus struct {
 	// features] per row — the serving schema of core.InferenceEngine.
 	X *tensor.Matrix
 	// XAnalytic is the analytic-kind design matrix
-	// (simulator.AnalyticFeatures per row).
+	// (costmodel.AnalyticFeatures per row).
 	XAnalytic *tensor.Matrix
 	// Y holds the measured training times.
 	Y []float64

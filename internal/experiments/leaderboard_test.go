@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"predictddl/internal/costmodel"
 	"predictddl/internal/obs"
 	"predictddl/internal/regress"
-	"predictddl/internal/simulator"
 	"predictddl/internal/tensor"
 )
 
@@ -27,12 +27,12 @@ func syntheticCorpora(t *testing.T) []LeaderboardCorpus {
 	rng := tensor.NewRNG(17)
 
 	analytic := func(rng *tensor.RNG) (*tensor.Matrix, []float64) {
-		cols := simulator.NumAnalyticFeatures()
+		cols := costmodel.NumAnalyticFeatures()
 		x := tensor.NewMatrix(n, cols)
 		raw := make([]float64, n)
 		serverGrid := []int{1, 2, 4, 8, 16}
 		set := func(row []float64, name string, v float64) {
-			row[simulator.AnalyticIndex(name)] = v
+			row[costmodel.AnalyticIndex(name)] = v
 		}
 		for i := 0; i < n; i++ {
 			row := x.Row(i)
@@ -68,21 +68,20 @@ func syntheticCorpora(t *testing.T) []LeaderboardCorpus {
 	xa1, _ := analytic(tensor.NewRNG(18))
 
 	// Corpus 2: targets exactly proportional to the roofline estimate, which
-	// is restated here from the simulator's cost functions. The targets keep
+	// is restated here from costmodel's step-time terms. The targets keep
 	// the form 37·(scale·raw)/scale, with scale the roofline's geometric-mean
 	// calibration against raw2, so the golden's bits do not move.
 	xa2, raw2 := analytic(tensor.NewRNG(19))
 	y2 := make([]float64, n)
-	col := func(row []float64, name string) float64 { return row[simulator.AnalyticIndex(name)] }
-	var opts simulator.Options
+	col := func(row []float64, name string) float64 { return row[costmodel.AnalyticIndex(name)] }
 	var logSum float64
 	for i := 0; i < n; i++ {
 		row := xa2.Row(i)
 		servers := int(col(row, "num_servers"))
-		compute := 3 * col(row, "flops") * simulator.DefaultBatchPerServer /
-			(col(row, "min_server_gflops") * 1e9 * simulator.BaseEfficiency(col(row, "num_gpus") > 0))
-		comm := opts.CommPerIteration(compute, servers, 4*col(row, "params"), col(row, "min_nic_gbps"))
-		overhead := opts.OverheadPerIteration(int(col(row, "num_nodes")), servers)
+		compute := costmodel.StepCompute(col(row, "flops"), costmodel.BatchPerServer,
+			col(row, "min_server_gflops"), costmodel.BaseEfficiency(col(row, "num_gpus") > 0))
+		comm := costmodel.ExposedComm(compute, servers, 4*col(row, "params"), col(row, "min_nic_gbps"))
+		overhead := costmodel.Overhead(int(col(row, "num_nodes")), servers)
 		y2[i] = (compute + comm + overhead) / float64(servers)
 		logSum += math.Log(raw2[i] / y2[i])
 	}

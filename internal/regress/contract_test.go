@@ -7,7 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"predictddl/internal/simulator"
+	"predictddl/internal/costmodel"
 	"predictddl/internal/tensor"
 )
 
@@ -29,12 +29,12 @@ func contractData(kind FeatureKind, seed int64, n int) (*tensor.Matrix, []float6
 	}
 	// Analytic schema: plausible campaign-style rows (every constraint the
 	// roofline checks — servers ≥ 1, positive min GFLOPS — holds).
-	cols := simulator.NumAnalyticFeatures()
+	cols := costmodel.NumAnalyticFeatures()
 	x := tensor.NewMatrix(n, cols)
 	y := make([]float64, n)
 	serverGrid := []int{1, 2, 4, 8, 16}
 	set := func(row []float64, name string, v float64) {
-		row[simulator.AnalyticIndex(name)] = v
+		row[costmodel.AnalyticIndex(name)] = v
 	}
 	for i := 0; i < n; i++ {
 		row := x.Row(i)

@@ -12,7 +12,7 @@ const (
 	// FeatureEmbedding backends train on [GHN embedding ‖ cluster features].
 	FeatureEmbedding FeatureKind = iota
 	// FeatureAnalytic backends train on the scalar analytic schema
-	// (simulator.AnalyticFeatures): graph FLOPs/params/size plus cluster
+	// (costmodel.AnalyticFeatures): graph FLOPs/params/size plus cluster
 	// descriptors, no learned embedding.
 	FeatureAnalytic
 )
@@ -111,7 +111,7 @@ func Backends() []Backend {
 		},
 		{
 			Name:        "roofline",
-			Description: "analytical compute+communication floor from the simulator's cost model",
+			Description: "analytical compute+communication floor from the shared cost model (costmodel)",
 			Kind:        FeatureAnalytic,
 			New:         func(int64) Regressor { return NewRoofline() },
 		},

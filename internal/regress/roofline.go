@@ -4,31 +4,26 @@ import (
 	"fmt"
 	"math"
 
-	"predictddl/internal/simulator"
+	"predictddl/internal/costmodel"
 	"predictddl/internal/tensor"
 )
 
 // RooflineRegressor is the analytical "you must beat this" floor of the
 // backend leaderboard. It learns nothing from feature geometry: each
-// prediction is reconstructed from the simulator's own per-iteration
-// compute/communication/overhead cost functions applied to the analytic
-// feature schema (simulator.AnalyticFeatures), times a single calibration
+// prediction is reconstructed from costmodel's per-step
+// compute/communication/overhead terms applied to the analytic feature
+// schema (costmodel.AnalyticFeatures), times a single calibration
 // scale fitted as the geometric mean of target/estimate ratios. The scale
 // absorbs the per-corpus constants the features cannot see (epochs, dataset
 // size, per-server batch); everything the roofline deliberately ignores —
 // operation mix, input-pipeline stalls, graph-shape efficiency effects — is
 // exactly the signal a learned backend must exploit to beat it.
 type RooflineRegressor struct {
-	// Opts tunes the underlying cost model; the zero value takes the
-	// simulator's calibrated defaults.
-	Opts simulator.Options
-
 	scale        float64
 	featureCount int
 }
 
-// NewRoofline returns a roofline baseline over the simulator's default cost
-// model.
+// NewRoofline returns an unfitted roofline baseline.
 func NewRoofline() *RooflineRegressor { return &RooflineRegressor{} }
 
 // Name implements Regressor.
@@ -39,17 +34,17 @@ func (m *RooflineRegressor) Name() string { return "roofline" }
 var analyticIdx = struct {
 	flops, params, nodes, servers, minGFLOPS, gpus, nic int
 }{
-	flops:     simulator.AnalyticIndex("flops"),
-	params:    simulator.AnalyticIndex("params"),
-	nodes:     simulator.AnalyticIndex("num_nodes"),
-	servers:   simulator.AnalyticIndex("num_servers"),
-	minGFLOPS: simulator.AnalyticIndex("min_server_gflops"),
-	gpus:      simulator.AnalyticIndex("num_gpus"),
-	nic:       simulator.AnalyticIndex("min_nic_gbps"),
+	flops:     costmodel.AnalyticIndex("flops"),
+	params:    costmodel.AnalyticIndex("params"),
+	nodes:     costmodel.AnalyticIndex("num_nodes"),
+	servers:   costmodel.AnalyticIndex("num_servers"),
+	minGFLOPS: costmodel.AnalyticIndex("min_server_gflops"),
+	gpus:      costmodel.AnalyticIndex("num_gpus"),
+	nic:       costmodel.AnalyticIndex("min_nic_gbps"),
 }
 
 // rawEstimate reconstructs per-server step time from one analytic feature
-// row: slowest-server compute at the simulator's base efficiency, plus the
+// row: slowest-server compute at the cost model's base efficiency, plus the
 // exposed ring all-reduce and per-iteration overhead, divided by the server
 // count (iteration count per epoch shrinks linearly with data parallelism;
 // the dataset-size constant lands in the fitted scale).
@@ -62,22 +57,20 @@ func (m *RooflineRegressor) rawEstimate(f []float64) (float64, error) {
 	if minGF <= 0 {
 		return 0, fmt.Errorf("regress: roofline needs positive min_server_gflops, got %g", minGF)
 	}
-	stepFLOPs := 3 * f[analyticIdx.flops] * simulator.DefaultBatchPerServer
-	eff := simulator.BaseEfficiency(f[analyticIdx.gpus] > 0)
-	compute := stepFLOPs / (minGF * 1e9 * eff)
-	comm := m.Opts.CommPerIteration(compute, servers, 4*f[analyticIdx.params], f[analyticIdx.nic])
-	overhead := m.Opts.OverheadPerIteration(int(f[analyticIdx.nodes]), servers)
+	compute := costmodel.StepCompute(f[analyticIdx.flops], costmodel.BatchPerServer, minGF, costmodel.BaseEfficiency(f[analyticIdx.gpus] > 0))
+	comm := costmodel.ExposedComm(compute, servers, 4*f[analyticIdx.params], f[analyticIdx.nic])
+	overhead := costmodel.Overhead(int(f[analyticIdx.nodes]), servers)
 	return (compute + comm + overhead) / float64(servers), nil
 }
 
 // Fit implements Regressor. x must use the analytic feature schema
-// (simulator.AnalyticFeatures order); targets must be positive.
+// (costmodel.AnalyticFeatures order); targets must be positive.
 func (m *RooflineRegressor) Fit(x *tensor.Matrix, y []float64) error {
 	if err := checkTrainingData(x, y); err != nil {
 		return err
 	}
-	if x.Cols() != simulator.NumAnalyticFeatures() {
-		return fmt.Errorf("regress: roofline needs the %d-wide analytic feature schema, got %d columns", simulator.NumAnalyticFeatures(), x.Cols())
+	if x.Cols() != costmodel.NumAnalyticFeatures() {
+		return fmt.Errorf("regress: roofline needs the %d-wide analytic feature schema, got %d columns", costmodel.NumAnalyticFeatures(), x.Cols())
 	}
 	var logSum float64
 	for i := 0; i < x.Rows(); i++ {

@@ -7,7 +7,7 @@ import (
 	"io"
 	"math"
 
-	"predictddl/internal/simulator"
+	"predictddl/internal/costmodel"
 	"predictddl/internal/tensor"
 )
 
@@ -81,7 +81,6 @@ type gbSnapshot struct {
 
 // rooflineSnapshot mirrors RooflineRegressor.
 type rooflineSnapshot struct {
-	Opts         simulator.Options
 	Scale        float64
 	FeatureCount int
 }
@@ -176,7 +175,7 @@ func toEnvelope(m Regressor) (*envelope, error) {
 		}
 		return &envelope{Kind: kindGBStumps, Blob: blob}, nil
 	case *RooflineRegressor:
-		blob, err := encodeBlob(rooflineSnapshot{Opts: v.Opts, Scale: v.scale, FeatureCount: v.featureCount})
+		blob, err := encodeBlob(rooflineSnapshot{Scale: v.scale, FeatureCount: v.featureCount})
 		if err != nil {
 			return nil, fmt.Errorf("regress: save roofline: %w", err)
 		}
@@ -274,13 +273,13 @@ func fromEnvelope(env *envelope) (Regressor, error) {
 		if err := decodeBlob(env.Blob, &s); err != nil {
 			return nil, fmt.Errorf("regress: load roofline: %w", err)
 		}
-		if s.FeatureCount != simulator.NumAnalyticFeatures() {
-			return nil, fmt.Errorf("regress: load roofline: fitted on %d features, analytic schema has %d", s.FeatureCount, simulator.NumAnalyticFeatures())
+		if s.FeatureCount != costmodel.NumAnalyticFeatures() {
+			return nil, fmt.Errorf("regress: load roofline: fitted on %d features, analytic schema has %d", s.FeatureCount, costmodel.NumAnalyticFeatures())
 		}
 		if s.Scale <= 0 || math.IsInf(s.Scale, 0) || math.IsNaN(s.Scale) {
 			return nil, fmt.Errorf("regress: load roofline: invalid calibration scale %g", s.Scale)
 		}
-		return &RooflineRegressor{Opts: s.Opts, scale: s.Scale, featureCount: s.FeatureCount}, nil
+		return &RooflineRegressor{scale: s.Scale, featureCount: s.FeatureCount}, nil
 	case kindLogTarget:
 		var inner envelope
 		if err := decodeBlob(env.Blob, &inner); err != nil {

@@ -2,7 +2,13 @@ package regress
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"predictddl/internal/tensor"
@@ -67,6 +73,48 @@ func TestRooflineRoundTrip(t *testing.T) {
 		t.Fatalf("scale %v != %v after round trip", got.scale, m.scale)
 	}
 	assertSamePredictions(t, m, back, x)
+}
+
+// TestRooflineCheckpointPinned loads a roofline checkpoint saved by the
+// version whose snapshot still carried the cost-model options (an unset
+// Opts field, now gone from the gob), and checks that both it and a fresh
+// fit on the same rows predict to the bit what that version predicted.
+func TestRooflineCheckpointPinned(t *testing.T) {
+	const wantScale = 0x3fda63fcc5b908a5
+	const wantDigest = "6e3d0e2ded68bc241a3fac6732c96e6eec66e36c87f0aa6ee959131f69b64ee5"
+	f, err := os.Open(filepath.Join("testdata", "roofline_opts_snapshot.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := math.Float64bits(loaded.(*RooflineRegressor).scale); got != wantScale {
+		t.Fatalf("loaded scale bits %#x, want %#x", got, uint64(wantScale))
+	}
+	x, y := contractData(FeatureAnalytic, 7, 40)
+	fresh := NewRoofline()
+	if err := fresh.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		m    Regressor
+	}{{"loaded", loaded}, {"fresh", fresh}} {
+		h := sha256.New()
+		for i := 0; i < x.Rows(); i++ {
+			v, err := c.m.Predict(x.Row(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = binary.Write(h, binary.LittleEndian, math.Float64bits(v)) // hash writes cannot fail
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != wantDigest {
+			t.Errorf("%s roofline prediction digest %s, want %s", c.name, got, wantDigest)
+		}
+	}
 }
 
 func TestLogWrappedBackendRoundTrips(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"predictddl/internal/cluster"
+	"predictddl/internal/costmodel"
 	"predictddl/internal/dataset"
 	"predictddl/internal/graph"
 )
@@ -38,8 +39,16 @@ type DataPoint struct {
 	Seconds float64
 }
 
+// AnalyticFeatures returns the point's analytic feature row — the campaign
+// counterpart of costmodel.AnalyticFeaturesFor, assembled from the gray-box
+// fields the point already carries.
+func (p DataPoint) AnalyticFeatures() ([]float64, error) {
+	return costmodel.AnalyticFeatures(p.FLOPs, p.NumParams, p.NumNodes, p.NumLayers, p.ClusterFeatures)
+}
+
 // CampaignSpec describes a measurement campaign: which models to train, on
-// which dataset and machine class, across which cluster sizes.
+// which dataset and machine class, across which cluster sizes. Every run
+// uses the costmodel.BatchPerServer × costmodel.Epochs training loop.
 type CampaignSpec struct {
 	// Models are zoo architecture names; empty means the full zoo.
 	Models []string
@@ -49,19 +58,7 @@ type CampaignSpec struct {
 	ServerSpec cluster.ServerSpec
 	// ServerCounts lists the cluster sizes to measure (paper: 1–20).
 	ServerCounts []int
-	// BatchPerServer and Epochs parameterize each run. Zero values default
-	// to 128 and 10.
-	BatchPerServer, Epochs int
 }
-
-// DefaultBatchPerServer and DefaultEpochs are the campaign training-loop
-// defaults (the paper's per-server minibatch of 128 over 10 epochs). The
-// regress roofline baseline assumes these when reconstructing step time from
-// scalar features.
-const (
-	DefaultBatchPerServer = 128
-	DefaultEpochs         = 10
-)
 
 func (cs CampaignSpec) withDefaults() CampaignSpec {
 	if len(cs.Models) == 0 {
@@ -69,12 +66,6 @@ func (cs CampaignSpec) withDefaults() CampaignSpec {
 	}
 	if len(cs.ServerCounts) == 0 {
 		cs.ServerCounts = CountRange(1, 20)
-	}
-	if cs.BatchPerServer <= 0 {
-		cs.BatchPerServer = DefaultBatchPerServer
-	}
-	if cs.Epochs <= 0 {
-		cs.Epochs = DefaultEpochs
 	}
 	return cs
 }
@@ -136,7 +127,7 @@ func (s *Simulator) RunCampaign(spec CampaignSpec) ([]DataPoint, error) {
 			}()
 			g := graphs[j.model]
 			c := cluster.Homogeneous(j.servers, spec.ServerSpec)
-			w := Workload{Graph: g, Dataset: spec.Dataset, BatchPerServer: spec.BatchPerServer, Epochs: spec.Epochs}
+			w := Workload{Graph: g, Dataset: spec.Dataset, BatchPerServer: costmodel.BatchPerServer, Epochs: costmodel.Epochs}
 			secs, err := s.TrainingTime(w, c)
 			if err != nil {
 				errs[i] = fmt.Errorf("simulator: %s on %d servers: %w", j.model, j.servers, err)
@@ -147,8 +138,8 @@ func (s *Simulator) RunCampaign(spec CampaignSpec) ([]DataPoint, error) {
 				Dataset:         spec.Dataset.Name,
 				NumServers:      j.servers,
 				ServerSpecName:  spec.ServerSpec.Name,
-				BatchPerServer:  spec.BatchPerServer,
-				Epochs:          spec.Epochs,
+				BatchPerServer:  costmodel.BatchPerServer,
+				Epochs:          costmodel.Epochs,
 				ClusterFeatures: c.Features(),
 				NumLayers:       g.NumLayers(),
 				NumParams:       g.TotalParams(),

@@ -2,7 +2,9 @@ package simulator
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,5 +77,42 @@ func TestCSVRejectsBadInputs(t *testing.T) {
 	bad := []DataPoint{{Model: "m", Seconds: 1, ClusterFeatures: []float64{1}}}
 	if err := WriteCSV(&bytes.Buffer{}, bad); err == nil {
 		t.Fatal("short feature vector accepted")
+	}
+}
+
+// TestCSVPinnedDigest pins a small campaign's export to the byte: three
+// architectures × {1, 2, 8} servers on the GPU class (CIFAR-10) and on the
+// E5-2630 CPU class (Tiny ImageNet), seed 1. The digest was recorded before
+// the simulator moved onto costmodel's shared step-time terms; any change
+// to the cost model, the noise stream or the CSV layout moves it.
+func TestCSVPinnedDigest(t *testing.T) {
+	const want = "b1eb416506e97dd324d79ff27e2458fd0235638c14527fe0b6bd2671c0bd3af6"
+	sim := New(1, Options{})
+	var points []DataPoint
+	for _, c := range []struct {
+		d    dataset.Dataset
+		spec cluster.ServerSpec
+	}{
+		{dataset.CIFAR10(), cluster.SpecGPUP100()},
+		{dataset.TinyImageNet(), cluster.SpecCPUE52630()},
+	} {
+		pts, err := sim.RunCampaign(CampaignSpec{
+			Models:       []string{"resnet18", "mobilenet_v3_large", "vgg16"},
+			Dataset:      c.d,
+			ServerSpec:   c.spec,
+			ServerCounts: []int{1, 2, 8},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, pts...)
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, points); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("campaign CSV sha256 = %s, want %s", got, want)
 	}
 }
