@@ -8,7 +8,6 @@
 //	ddlbench [-fig all|1|2|5|6|9|10|11|12|13|baselines|hetero|sharedghn|confidence]
 //	         [-seed N] [-quick] [-dump-campaign points.csv]
 //	         [-ghn-batch N] [-ghn-parallel N] [-batch N] [-metrics]
-//	         [-bench-embed BENCH_embed.json]
 //	         [-leaderboard] [-leaderboard-out BENCH_leaderboard.json] [-folds N]
 //	         [-leaderboard-timings]
 //
@@ -22,12 +21,11 @@
 // -ghn-parallel. -batch N skips the figures, trains one quick predictor,
 // and times a batch of N predictions cold (empty embedding cache) and warm
 // against the serial Predict loop, reporting p50/p99 embed latency from the
-// obs histograms. -bench-embed FILE benchmarks the tape-based reference
-// embed against the tape-free fast path and writes the JSON report (ns/op,
-// allocs/op, p50/p99, speedup ratios) to FILE — the BENCH_embed.json
-// artifact CI uploads. -metrics instruments the lab with a metrics registry
-// and prints its snapshot (GHN step times, embed latencies) after the
-// figure run; instrumentation never changes figure output.
+// obs histograms. -metrics instruments the lab with a metrics registry and
+// prints its snapshot (GHN step times, embed latencies) after the figure
+// run; instrumentation never changes figure output. The embed fast path's
+// cost against the tape-based reference is measured by the root package's
+// BenchmarkGHNEmbedResNet50 and BenchmarkGHNEmbedResNet50Reference.
 //
 // -leaderboard runs every registered predictor backend (see DESIGN.md §14)
 // over every dataset's campaign via seeded k-fold cross-validation, prints
@@ -66,7 +64,6 @@ func main() {
 	ghnBatch := flag.Int("ghn-batch", 0, "GHN training mini-batch size (0 = per-graph updates)")
 	ghnParallel := flag.Int("ghn-parallel", 0, "GHN training workers per batch (0 = NumCPU, 1 = serial; results are identical either way)")
 	batchDemo := flag.Int("batch", 0, "run the batch-prediction demo over N workloads instead of the figures")
-	benchEmbed := flag.String("bench-embed", "", "benchmark the embed fast path and write the JSON report to FILE, then exit")
 	metrics := flag.Bool("metrics", false, "print the lab's metrics registry snapshot after the run")
 	leaderboard := flag.Bool("leaderboard", false, "run the predictor-backend leaderboard over every dataset instead of the figures")
 	leaderboardOut := flag.String("leaderboard-out", "BENCH_leaderboard.json", "leaderboard artifact path")
@@ -74,10 +71,6 @@ func main() {
 	folds := flag.Int("folds", 5, "leaderboard cross-validation fold count")
 	flag.Parse()
 
-	if *benchEmbed != "" {
-		exitOn(runBenchEmbed(*benchEmbed, *seed))
-		return
-	}
 	if *batchDemo > 0 {
 		exitOn(runBatchDemo(*batchDemo, *seed, *ghnBatch, *ghnParallel))
 		return

@@ -1,13 +1,13 @@
 // Command ddlload is PredictDDL's load generator and serving
-// perf-trajectory gate (DESIGN.md §12). It drives /v1/predict and
+// status-contract checker (DESIGN.md §12). It drives /v1/predict and
 // /v1/predict/batch at a target rate with seeded, reproducible schedules —
 // open-loop Poisson arrivals and fixed-concurrency closed loop — over a
 // mixed scenario blend (warm zoo predictions, cold custom graphs,
 // unknown-dataset 404s, oversized-body 413s), measures client-side
 // latency, cross-checks it against the server's own /v1/metrics
 // histograms, and writes the BENCH_serve.json artifact: per-endpoint
-// p50/p99, max sustained RPS at a p99 SLO, a status-code error breakdown,
-// and server-side allocs/op from the in-process mode.
+// p50/p99 and a status-code breakdown per run. Performance regressions
+// are gated by the layered benchmark in bench/, not here.
 //
 // Usage:
 //
@@ -15,7 +15,6 @@
 //	ddlload -self -gateway -gateway-replicas 2 \
 //	        -mix "zoo=40,batch=10,custom=10,gateway=30,notfound=5,oversized=5"
 //	ddlload -addr http://host:8080 -rps 200 -duration 10s
-//	ddlload -compare-only -out BENCH_serve.json -baseline BENCH_serve_baseline.json
 //
 // -gateway -self stands up a multi-replica topology (synthetic controllers
 // behind a consistent-hash gateway) and drives the front door; the gateway
@@ -26,12 +25,8 @@
 //
 // An open or closed run in which any response breaks its scenario's status
 // contract (a 500 where a 200, 404 or 413 was due, or a transport error)
-// fails the invocation, as does a client/server counter mismatch.
-//
-// With -baseline the run ends with the regression gate: a >15% p99
-// regression (tunable via -max-p99-regress, modulo -noise-floor) against
-// the committed baseline exits non-zero — the check `make loadbench` runs
-// in verify and CI.
+// fails the invocation, as does a client/server counter mismatch — the
+// checks `make loadbench` runs in verify and CI.
 //
 // Two invocations with the same -seed issue byte-identical request
 // schedules (arrival offsets, scenario sequence, request bodies), so
@@ -60,7 +55,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("ddlload", flag.ExitOnError)
 	addr := fs.String("addr", "", "target server base URL (e.g. http://127.0.0.1:8080); empty requires -self")
-	self := fs.Bool("self", false, "stand up an in-process synthetic-controller server and drive it (enables the allocs/op probe)")
+	self := fs.Bool("self", false, "stand up an in-process synthetic-controller server and drive it")
 	gatewayMode := fs.Bool("gateway", false, "with -self: stand up a multi-replica gateway topology and drive its front door; with -addr: treat the target as a gateway and record the per-shard report section")
 	gatewayReplicas := fs.Int("gateway-replicas", 2, "replica count of the -self -gateway topology")
 	gatewayDatasets := fs.String("gateway-datasets", "", "comma-separated datasets the gateway scenario rotates across (auto-derived per shard in -self mode)")
@@ -71,23 +66,10 @@ func run(args []string) error {
 	duration := fs.Duration("duration", 4*time.Second, "open-loop run window")
 	concurrency := fs.Int("concurrency", 8, "closed-loop worker count")
 	closedReqs := fs.Int("closed-requests", 400, "closed-loop schedule length")
-	slo := fs.Duration("slo", 250*time.Millisecond, "p99 latency SLO for the max-sustained-RPS search")
-	findMax := fs.Bool("find-max-rps", true, "search for the max sustained RPS at the SLO")
-	maxRPSCap := fs.Float64("max-rps-cap", 2000, "upper bound of the max-RPS doubling phase")
-	trialDur := fs.Duration("trial-duration", 1500*time.Millisecond, "per-probe window of the max-RPS search")
-	allocsOps := fs.Int("allocs-ops", 200, "measured ops of the in-process allocs/op probe (-self only)")
 	serverMaxBody := fs.Int64("server-max-body", load.DefaultOversizedTarget, "target's request-body admission cap; oversized bodies are padded past it")
 	out := fs.String("out", "BENCH_serve.json", "report artifact path")
-	baseline := fs.String("baseline", "", "baseline report to gate against (skipped when the file does not exist)")
-	maxRegress := fs.Float64("max-p99-regress", 0.15, "relative p99 regression budget vs the baseline")
-	noiseFloor := fs.Duration("noise-floor", 2*time.Millisecond, "absolute p99 delta below which a regression is considered jitter")
-	compareOnly := fs.Bool("compare-only", false, "skip load generation; gate the existing -out report against -baseline")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *compareOnly {
-		return gate(*out, *baseline, *maxRegress, *noiseFloor)
 	}
 
 	mix, err := load.ParseMix(*mixFlag)
@@ -99,7 +81,6 @@ func run(args []string) error {
 	defer cancel()
 
 	baseURL := *addr
-	var ctrl *core.Controller
 	var gwDatasets []string
 	if *gatewayDatasets != "" {
 		for _, d := range strings.Split(*gatewayDatasets, ",") {
@@ -130,7 +111,7 @@ func run(args []string) error {
 				baseURL, len(topo.ReplicaURLs), topo.ShardDatasets)
 		} else {
 			var stop func() error
-			ctrl, baseURL, stop, err = startSelf(ctx, *seed, *dataset)
+			baseURL, stop, err = startSelf(ctx, *seed, *dataset)
 			if err != nil {
 				return err
 			}
@@ -153,7 +134,7 @@ func run(args []string) error {
 		GatewayDatasets: gwDatasets,
 	}
 	runner := &load.Runner{BaseURL: baseURL}
-	rep := load.NewReport(*seed, *slo)
+	rep := load.NewReport(*seed)
 
 	// Open loop at the target rate.
 	openCfg := cfg
@@ -194,35 +175,6 @@ func run(args []string) error {
 		return err
 	}
 
-	// Max sustained RPS at the SLO.
-	if *findMax {
-		fmt.Printf("max-RPS search: p99 SLO %v, trials of %v up to %.0f rps\n", *slo, *trialDur, *maxRPSCap)
-		rep.MaxSustained, err = runner.FindMaxRPS(ctx, cfg, *slo, load.FindMaxRPSOptions{
-			CapRPS:        *maxRPSCap,
-			TrialDuration: *trialDur,
-		})
-		if err != nil {
-			return err
-		}
-		for _, t := range rep.MaxSustained.Trials {
-			fmt.Printf("  probe %7.1f rps: p99 %.4gs unexpected=%d pass=%v\n",
-				t.RPS, t.P99Seconds, t.Unexpected, t.Pass)
-		}
-		fmt.Printf("max sustained: %.1f rps at p99 %.4gs (SLO %v)\n",
-			rep.MaxSustained.RPS, rep.MaxSustained.P99Seconds, *slo)
-	}
-
-	// Server-side allocations per warm predict (in-process only: the
-	// handler is driven directly, no sockets in the measurement).
-	if ctrl != nil {
-		allocs, err := load.MeasureAllocsPerOp(ctrl.Handler(), openSched, *allocsOps)
-		if err != nil {
-			return err
-		}
-		rep.AllocsPerOpPredict = allocs
-		fmt.Printf("allocs/op (warm /v1/predict, in-process): %.1f\n", allocs)
-	}
-
 	// Per-shard section: the gateway's own counters after the whole run.
 	if *gatewayMode {
 		snap, serr := load.ScrapeMetrics(runner.HTTPClient(), baseURL)
@@ -249,14 +201,6 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Printf("wrote %s\n", *out)
-
-	if *baseline != "" {
-		if _, statErr := os.Stat(*baseline); os.IsNotExist(statErr) {
-			fmt.Fprintf(os.Stderr, "ddlload: baseline %s absent; gate skipped\n", *baseline)
-			return nil
-		}
-		return gate(*out, *baseline, *maxRegress, *noiseFloor)
-	}
 	return nil
 }
 
@@ -331,14 +275,14 @@ func allMatch(checks []load.ServerCheck) bool {
 // serving path, throwaway model; see load.NewSyntheticController) behind a
 // hardened core.Server on a loopback port. The returned stop function
 // drains and reports any serve failure.
-func startSelf(ctx context.Context, seed int64, dataset string) (*core.Controller, string, func() error, error) {
+func startSelf(ctx context.Context, seed int64, dataset string) (string, func() error, error) {
 	ctrl, err := load.NewSyntheticController(seed, dataset)
 	if err != nil {
-		return nil, "", nil, err
+		return "", nil, err
 	}
 	srv, err := core.NewServer("127.0.0.1:0", ctrl.Handler(), core.ServerOptions{})
 	if err != nil {
-		return nil, "", nil, err
+		return "", nil, err
 	}
 	serveCtx, cancel := context.WithCancel(ctx)
 	done := make(chan error, 1)
@@ -348,32 +292,7 @@ func startSelf(ctx context.Context, seed int64, dataset string) (*core.Controlle
 		return <-done
 	}
 	fmt.Printf("in-process server on %s (synthetic controller, dataset %s)\n", srv.Addr(), dataset)
-	return ctrl, "http://" + srv.Addr(), stop, nil
-}
-
-// gate loads both reports and applies the p99 regression thresholds,
-// exiting non-zero (via the returned error) on any violation.
-func gate(outPath, baselinePath string, maxRegress float64, noiseFloor time.Duration) error {
-	if baselinePath == "" {
-		return fmt.Errorf("-baseline is required to gate")
-	}
-	cur, err := load.ReadReport(outPath)
-	if err != nil {
-		return err
-	}
-	base, err := load.ReadReport(baselinePath)
-	if err != nil {
-		return err
-	}
-	regs := load.Compare(base, cur, load.CompareOptions{
-		MaxP99Regress: maxRegress,
-		NoiseFloor:    noiseFloor,
-	})
-	if len(regs) > 0 {
-		return fmt.Errorf("p99 regression vs %s:\n%s", baselinePath, load.FormatRegressions(regs))
-	}
-	fmt.Printf("regression gate: %s within %.0f%% of %s\n", outPath, 100*maxRegress, baselinePath)
-	return nil
+	return "http://" + srv.Addr(), stop, nil
 }
 
 // printRun renders one run's summary lines.

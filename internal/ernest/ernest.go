@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"predictddl/internal/simulator"
 	"predictddl/internal/tensor"
 )
 
@@ -57,18 +56,6 @@ func (e *Model) Fit(machines []int, seconds []float64) error {
 	e.theta = theta
 	e.fitted = true
 	return nil
-}
-
-// FitPoints trains from simulator campaign points (all must belong to the
-// same workload for the model to mean anything; callers enforce that).
-func (e *Model) FitPoints(points []simulator.DataPoint) error {
-	machines := make([]int, len(points))
-	seconds := make([]float64, len(points))
-	for i, p := range points {
-		machines[i] = p.NumServers
-		seconds[i] = p.Seconds
-	}
-	return e.Fit(machines, seconds)
 }
 
 // Predict estimates the training time on the given machine count.

@@ -177,8 +177,13 @@ func TestErnestOnSimulatedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	machines := make([]int, len(points))
+	seconds := make([]float64, len(points))
+	for i, p := range points {
+		machines[i], seconds[i] = p.NumServers, p.Seconds
+	}
 	var e Model
-	if err := e.FitPoints(points); err != nil {
+	if err := e.Fit(machines, seconds); err != nil {
 		t.Fatal(err)
 	}
 	var worst float64

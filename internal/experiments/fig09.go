@@ -88,14 +88,8 @@ func Fig09(lab *Lab) ([]Fig09Row, Fig09Summary, error) {
 		}
 
 		// Ernest: one black-box scaling model over the mixed campaign.
-		var ern ernest.Model
-		machines := make([]int, len(trainPts))
-		secs := make([]float64, len(trainPts))
-		for i, p := range trainPts {
-			machines[i] = p.NumServers
-			secs[i] = p.Seconds
-		}
-		if err := ern.Fit(machines, secs); err != nil {
+		ern, err := ernestTrainPoints(trainPts)
+		if err != nil {
 			return nil, Fig09Summary{}, err
 		}
 
@@ -147,11 +141,16 @@ func Fig09(lab *Lab) ([]Fig09Row, Fig09Summary, error) {
 	return rows, sum, nil
 }
 
-// ernestTrainPoints exposes the mixed-campaign Ernest protocol for other
-// figures.
+// ernestTrainPoints fits Ernest on a campaign's (machines, seconds)
+// columns: the black box sees nothing else of a point.
 func ernestTrainPoints(points []simulator.DataPoint) (*ernest.Model, error) {
+	machines := make([]int, len(points))
+	seconds := make([]float64, len(points))
+	for i, p := range points {
+		machines[i], seconds[i] = p.NumServers, p.Seconds
+	}
 	var m ernest.Model
-	if err := m.FitPoints(points); err != nil {
+	if err := m.Fit(machines, seconds); err != nil {
 		return nil, err
 	}
 	return &m, nil

@@ -1,11 +1,7 @@
 package load
 
 import (
-	"bytes"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"runtime"
 
 	"predictddl/internal/cluster"
 	"predictddl/internal/core"
@@ -62,53 +58,4 @@ func syntheticRegressor(seed int64, dim int) (regress.Regressor, error) {
 		return nil, fmt.Errorf("load: synthetic regressor fit: %w", err)
 	}
 	return m, nil
-}
-
-// MeasureAllocsPerOp measures server-side heap allocations per warm
-// /v1/predict by driving the handler directly — no sockets, no client
-// goroutines — so the number is the serving path's own allocation bill
-// (middleware, decode, cache hit, regressor, encode) and comparable across
-// commits. It replays the schedule's zoo requests (the steady-state hot
-// path; custom graphs deliberately measure cold embeds and would swamp the
-// signal), one warmup pass then ops measured calls.
-func MeasureAllocsPerOp(h http.Handler, sched *Schedule, ops int) (float64, error) {
-	var zoo []*Request
-	for i := range sched.Requests {
-		if sched.Requests[i].Kind == KindZoo {
-			zoo = append(zoo, &sched.Requests[i])
-		}
-	}
-	if len(zoo) == 0 {
-		return 0, fmt.Errorf("load: schedule has no zoo requests to measure")
-	}
-	if ops <= 0 {
-		ops = 200
-	}
-	call := func(r *Request) error {
-		req := httptest.NewRequest(http.MethodPost, r.Path, bytes.NewReader(r.Body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != r.Expect {
-			return fmt.Errorf("load: allocs probe got status %d, want %d", rec.Code, r.Expect)
-		}
-		return nil
-	}
-	// Warmup: populate the embedding cache and any lazy pools, as a
-	// steady-state server would be.
-	for _, r := range zoo {
-		if err := call(r); err != nil {
-			return 0, err
-		}
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < ops; i++ {
-		if err := call(zoo[i%len(zoo)]); err != nil {
-			return 0, err
-		}
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(ops), nil
 }

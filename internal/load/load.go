@@ -1,8 +1,10 @@
 // Package load is PredictDDL's load-generation library (DESIGN.md §12):
 // seeded open-loop (Poisson arrival) and closed-loop (fixed concurrency)
 // request schedules over mixed serving scenarios, a runner that drives
-// them against a live controller, and the BENCH_serve.json report with a
-// regression gate against a committed baseline.
+// them against a live controller, and the BENCH_serve.json report with its
+// status-contract tally and /v1/metrics cross-check. It is not a
+// performance gate: bench/ measures each serving layer and composes them
+// into the end-to-end numbers that gate regressions.
 //
 // The design contract mirrors the repo's determinism discipline: a
 // schedule — arrival offsets, scenario sequence, and every request body —

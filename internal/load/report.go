@@ -1,7 +1,6 @@
 package load
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -19,21 +18,14 @@ import (
 // pause in the generator, pool exhaustion) cannot masquerade as a server
 // regression.
 type Report struct {
-	GeneratedAt string  `json:"generated_at"`
-	GoVersion   string  `json:"go_version"`
-	NumCPU      int     `json:"num_cpu"`
-	Seed        int64   `json:"seed"`
-	SLOSeconds  float64 `json:"slo_p99_seconds"`
+	GeneratedAt string `json:"generated_at"`
+	GoVersion   string `json:"go_version"`
+	NumCPU      int    `json:"num_cpu"`
+	Seed        int64  `json:"seed"`
 	// Open is the open-loop run at the configured target RPS.
 	Open *RunReport `json:"open,omitempty"`
 	// Closed is the fixed-concurrency closed-loop run.
 	Closed *RunReport `json:"closed,omitempty"`
-	// MaxSustained is the highest open-loop RPS whose p99 stayed inside
-	// the SLO (see FindMaxRPS).
-	MaxSustained *MaxRPSReport `json:"max_sustained,omitempty"`
-	// AllocsPerOpPredict is server-side heap allocations per warm
-	// /v1/predict from the in-process mode (0 when not measured).
-	AllocsPerOpPredict float64 `json:"allocs_per_op_predict,omitempty"`
 	// Gateway is the per-shard breakdown when the target is a gateway
 	// (EXPERIMENTS.md §serving): how the run's traffic spread over the
 	// ring, plus shed/rebalance counts and fan-out latency.
@@ -100,26 +92,6 @@ type ServerCheck struct {
 	P99Seconds   float64 `json:"p99_seconds"`
 	P99Saturated bool    `json:"p99_saturated,omitempty"`
 	Overflow     uint64  `json:"overflow,omitempty"`
-}
-
-// MaxRPSReport is the result of the sustained-throughput search.
-type MaxRPSReport struct {
-	// RPS is the highest tested rate whose p99 met the SLO (0 when even
-	// the starting rate failed).
-	RPS float64 `json:"rps"`
-	// P99Seconds is the measured p99 at that rate.
-	P99Seconds float64 `json:"p99_seconds"`
-	// Trials lists every probe, in order.
-	Trials []MaxRPSTrial `json:"trials"`
-}
-
-// MaxRPSTrial is one probe of the search.
-type MaxRPSTrial struct {
-	RPS        float64 `json:"rps"`
-	P99Seconds float64 `json:"p99_seconds"`
-	Saturated  bool    `json:"p99_saturated,omitempty"`
-	Unexpected int     `json:"unexpected"`
-	Pass       bool    `json:"pass"`
 }
 
 // endpointLabel maps a request path to the server's metric label.
@@ -266,139 +238,13 @@ func histogramDelta(cur, prev obs.HistogramValue) obs.HistogramValue {
 	return out
 }
 
-// FindMaxRPSOptions bounds the sustained-throughput search.
-type FindMaxRPSOptions struct {
-	// StartRPS is the first probe (default 25).
-	StartRPS float64
-	// CapRPS bounds the doubling phase (default 2000).
-	CapRPS float64
-	// TrialDuration is each probe's open-loop window (default 1.5s).
-	TrialDuration time.Duration
-	// Refinements is the number of binary-search iterations after the
-	// doubling phase brackets the ceiling (default 3).
-	Refinements int
-}
-
-func (o FindMaxRPSOptions) withDefaults() FindMaxRPSOptions {
-	if o.StartRPS <= 0 {
-		o.StartRPS = 25
-	}
-	if o.CapRPS <= 0 {
-		o.CapRPS = 2000
-	}
-	if o.TrialDuration <= 0 {
-		o.TrialDuration = 1500 * time.Millisecond
-	}
-	if o.Refinements <= 0 {
-		o.Refinements = 3
-	}
-	return o
-}
-
-// FindMaxRPS searches for the highest open-loop arrival rate whose
-// combined p99 (over responses matching the scenario contract) stays
-// within slo: double from StartRPS until a probe fails or CapRPS is
-// reached, then binary-search the bracket. Probe schedules derive
-// deterministically from cfg.Seed and the probe rate; the measured
-// latencies, of course, do not.
-//
-// A probe fails when its p99 exceeds slo, its p99 saturates the bucket
-// ladder, or any sample violates its scenario contract (5xx on the warm
-// path, transport errors).
-func (r *Runner) FindMaxRPS(ctx context.Context, cfg ScheduleConfig, slo time.Duration, opts FindMaxRPSOptions) (*MaxRPSReport, error) {
-	opts = opts.withDefaults()
-	rep := &MaxRPSReport{}
-
-	probe := func(rps float64) (MaxRPSTrial, error) {
-		pc := cfg
-		pc.Mode = ModeOpen
-		pc.RPS = rps
-		pc.Duration = opts.TrialDuration
-		sched, err := BuildSchedule(pc)
-		if err != nil {
-			return MaxRPSTrial{}, err
-		}
-		res, err := r.RunOpen(ctx, sched)
-		if err != nil {
-			return MaxRPSTrial{}, err
-		}
-		reg := obs.NewRegistry(nil)
-		h := reg.Histogram("lat", obs.LatencyBuckets())
-		unexpected := 0
-		for _, s := range res.Samples {
-			if !s.Expected() {
-				unexpected++
-				continue
-			}
-			h.Observe(s.Latency.Seconds())
-		}
-		hv, _ := reg.Snapshot().HistogramByName("lat")
-		p99, sat := hv.QuantileSaturated(0.99)
-		t := MaxRPSTrial{
-			RPS:        rps,
-			P99Seconds: p99,
-			Saturated:  sat,
-			Unexpected: unexpected,
-			Pass:       unexpected == 0 && !sat && p99 <= slo.Seconds(),
-		}
-		rep.Trials = append(rep.Trials, t)
-		return t, nil
-	}
-
-	// Doubling phase.
-	lo, hi := 0.0, 0.0
-	for rps := opts.StartRPS; rps <= opts.CapRPS; rps *= 2 {
-		t, err := probe(rps)
-		if err != nil {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("load: max-rps search canceled: %w", ctx.Err())
-		}
-		if t.Pass {
-			lo = rps
-			rep.RPS, rep.P99Seconds = t.RPS, t.P99Seconds
-			continue
-		}
-		hi = rps
-		break
-	}
-	if lo == 0 {
-		// Even the starting rate failed; report zero sustained.
-		return rep, nil
-	}
-	if hi == 0 {
-		// Never failed up to the cap; the cap is the answer we can attest.
-		return rep, nil
-	}
-	// Binary refinement inside (lo, hi).
-	for i := 0; i < opts.Refinements; i++ {
-		mid := (lo + hi) / 2
-		t, err := probe(mid)
-		if err != nil {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("load: max-rps search canceled: %w", ctx.Err())
-		}
-		if t.Pass {
-			lo = mid
-			rep.RPS, rep.P99Seconds = t.RPS, t.P99Seconds
-		} else {
-			hi = mid
-		}
-	}
-	return rep, nil
-}
-
 // NewReport stamps the report envelope.
-func NewReport(seed int64, slo time.Duration) *Report {
+func NewReport(seed int64) *Report {
 	return &Report{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		NumCPU:      runtime.NumCPU(),
 		Seed:        seed,
-		SLOSeconds:  slo.Seconds(),
 	}
 }
 
@@ -414,17 +260,4 @@ func (rep *Report) WriteFile(path string) error {
 		return fmt.Errorf("load: report write: %w", err)
 	}
 	return nil
-}
-
-// ReadReport loads a report (the committed baseline, or a prior artifact).
-func ReadReport(path string) (*Report, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("load: report read: %w", err)
-	}
-	var rep Report
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return nil, fmt.Errorf("load: report %s parse: %w", path, err)
-	}
-	return &rep, nil
 }

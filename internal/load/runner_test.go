@@ -199,39 +199,6 @@ func TestRunnerModeMismatch(t *testing.T) {
 	}
 }
 
-// TestMeasureAllocsPerOp: the in-process allocation probe returns a
-// positive, sane number for the warm predict path.
-func TestMeasureAllocsPerOp(t *testing.T) {
-	ctrl, err := NewSyntheticController(6, "cifar10")
-	if err != nil {
-		t.Fatalf("NewSyntheticController: %v", err)
-	}
-	sched, err := BuildSchedule(ScheduleConfig{
-		Seed: 6, Mode: ModeClosed, Count: 20, Mix: Mix{{KindZoo, 1}},
-	})
-	if err != nil {
-		t.Fatalf("BuildSchedule: %v", err)
-	}
-	allocs, err := MeasureAllocsPerOp(ctrl.Handler(), sched, 50)
-	if err != nil {
-		t.Fatalf("MeasureAllocsPerOp: %v", err)
-	}
-	if allocs <= 0 || allocs > 100000 {
-		t.Errorf("allocs/op = %g, want a positive sane value", allocs)
-	}
-
-	// A schedule with no zoo requests cannot be measured.
-	noZoo, err := BuildSchedule(ScheduleConfig{
-		Seed: 6, Mode: ModeClosed, Count: 5, Mix: Mix{{KindNotFound, 1}},
-	})
-	if err != nil {
-		t.Fatalf("BuildSchedule: %v", err)
-	}
-	if _, err := MeasureAllocsPerOp(ctrl.Handler(), noZoo, 10); err == nil {
-		t.Errorf("MeasureAllocsPerOp accepted a schedule without zoo requests")
-	}
-}
-
 func statusString(code int) string {
 	return Sample{Status: code}.StatusKey()
 }

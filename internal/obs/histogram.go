@@ -138,7 +138,7 @@ type HistogramValue struct {
 	// saturate. A non-zero overflow on a latency histogram means reported
 	// upper quantiles understate reality (the server is beyond its bucket
 	// ladder — overloaded, for a latency metric), so /v1/metrics consumers
-	// and BENCH_serve.json can gate on it without digging through buckets.
+	// and BENCH_serve.json can flag it without digging through buckets.
 	Overflow uint64 `json:"overflow"`
 }
 
@@ -176,8 +176,8 @@ func (hv HistogramValue) Quantile(q float64) float64 {
 // bucket, i.e. the returned value is the last finite bound acting as a
 // floor on the true quantile rather than an estimate of it. An overloaded
 // server's flat "p99 = 10s" readings carry saturated=true, so dashboards
-// and the ddlload regression gate can flag them instead of comparing a
-// clamp against a clamp.
+// and ddlload's report can flag them instead of comparing a clamp against
+// a clamp.
 func (hv HistogramValue) QuantileSaturated(q float64) (v float64, saturated bool) {
 	if hv.Count == 0 || q <= 0 {
 		return 0, false

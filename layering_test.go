@@ -15,7 +15,7 @@ import (
 func TestPredictorsDoNotImportTheAnswerKey(t *testing.T) {
 	answerKey := []string{"predictddl/internal/simulator", "predictddl/internal/experiments"}
 	guarded := []string{
-		"costmodel", "regress", "ghn", "graph", "nn", "tensor",
+		"costmodel", "ernest", "regress", "ghn", "graph", "nn", "tensor",
 		"jsonscan", "obs", "cluster", "dataset",
 	}
 	// Exempt until the benchmark harness stops building them: core's
