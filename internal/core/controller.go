@@ -51,36 +51,40 @@ type Controller struct {
 	// happen after the server is already live.
 	collector *cluster.Collector //ddlvet:guardedby mu
 
-	// Admission limits, guarded by mu (see SetLimits). shedder, when set
-	// via SetMaxInflight, caps concurrent prediction requests (shed.go).
-	maxBodyBytes  int64            //ddlvet:guardedby mu
-	maxBatchItems int              //ddlvet:guardedby mu
-	shedder       *InflightLimiter //ddlvet:guardedby mu
+	// Admission limits, guarded by mu (see SetLimits).
+	maxBodyBytes  int64 //ddlvet:guardedby mu
+	maxBatchItems int   //ddlvet:guardedby mu
 
-	// metrics is the observability registry (never nil; see metrics.go),
-	// traceLog optionally receives server-side trace lines; both guarded by
-	// mu. mw is the request middleware Handler mounts and batchSize the
-	// http.batch.size handle, both reading metrics through Metrics.
-	metrics   *obs.Registry //ddlvet:guardedby mu
-	traceLog  *log.Logger   //ddlvet:guardedby mu
+	// metrics is the observability registry, fixed at construction (see
+	// metrics.go); traceLog optionally receives server-side trace lines,
+	// guarded by mu. mw is the request middleware Handler mounts and
+	// batchSize the http.batch.size histogram, resolved on first use.
+	metrics   *obs.Registry
+	traceLog  *log.Logger //ddlvet:guardedby mu
 	mw        *obs.Middleware
-	batchSize *obs.Handles[*obs.Histogram]
+	batchSize func() *obs.Histogram
 }
 
 // NewController returns a controller serving the given engines with the
 // default admission limits; each engine is added as AddEngine adds one.
 func NewController(registry *GHNRegistry, engines ...*InferenceEngine) *Controller {
+	return newController(obs.NewRegistry(nil), registry, engines...)
+}
+
+// newController is NewController reporting into metrics; tests pass a
+// fake-clock registry.
+func newController(metrics *obs.Registry, registry *GHNRegistry, engines ...*InferenceEngine) *Controller {
 	c := &Controller{
 		engines:       make(map[string]*InferenceEngine),
 		registry:      registry,
 		maxBodyBytes:  DefaultMaxBodyBytes,
 		maxBatchItems: DefaultMaxBatchItems,
-		metrics:       obs.NewRegistry(nil),
-		batchSize: &obs.Handles[*obs.Histogram]{Resolve: func(r *obs.Registry) *obs.Histogram {
-			return r.Histogram("http.batch.size", obs.SizeBuckets(DefaultMaxBatchItems))
-		}},
+		metrics:       metrics,
+		batchSize: sync.OnceValue(func() *obs.Histogram {
+			return metrics.Histogram("http.batch.size", obs.SizeBuckets(DefaultMaxBatchItems))
+		}),
 	}
-	c.mw = &obs.Middleware{Registry: c.Metrics, IDs: obs.NewIDSource("req"), TraceLog: c.traceLogger}
+	c.mw = &obs.Middleware{Registry: metrics, IDs: obs.NewIDSource("req"), TraceLog: c.traceLogger}
 	for _, e := range engines {
 		c.AddEngine(e)
 	}
@@ -132,12 +136,11 @@ func (c *Controller) limits() (int64, int) {
 func (c *Controller) AddEngine(e *InferenceEngine) {
 	c.mu.Lock()
 	c.engines[e.Dataset()] = e
-	reg := c.metrics
 	c.mu.Unlock()
 	if c.registry != nil {
 		c.registry.Put(e.Dataset(), e.ghn)
 	}
-	e.Instrument(reg)
+	e.Instrument(c.metrics)
 }
 
 // Engine returns the engine for a dataset.
@@ -250,14 +253,14 @@ func (c *Controller) checkRequest(req PredictRequest, m *memo) (engine *Inferenc
 // scraping them does not perturb the request counters they report.
 func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/predict", c.mw.Wrap("predict", c.shed("predict", c.handlePredict)))
-	mux.HandleFunc("/v1/predict/batch", c.mw.Wrap("batch", c.shed("batch", c.handleBatch)))
-	mux.HandleFunc("/v1/batch", c.mw.Wrap("batch", c.shed("batch", c.handleBatch))) // legacy alias
+	mux.HandleFunc("/v1/predict", c.mw.Wrap("predict", c.handlePredict))
+	mux.HandleFunc("/v1/predict/batch", c.mw.Wrap("batch", c.handleBatch))
+	mux.HandleFunc("/v1/batch", c.mw.Wrap("batch", c.handleBatch)) // legacy alias
 	mux.HandleFunc("/v1/status", c.mw.Wrap("status", c.handleStatus))
 	mux.HandleFunc("/v1/models", c.mw.Wrap("models", c.handleModels))
 	mux.HandleFunc("/v1/inventory", c.mw.Wrap("inventory", c.handleInventory))
-	mux.HandleFunc("/v1/metrics", c.handleMetrics)
-	mux.HandleFunc("/debug/vars", c.handleVars)
+	mux.Handle("/v1/metrics", obs.Handler(c.metrics))
+	mux.Handle("/debug/vars", obs.TextHandler(c.metrics))
 	return mux
 }
 
@@ -296,7 +299,7 @@ func (c *Controller) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if n > 0 {
 		// Record every non-empty batch's size — including over-limit ones, which
 		// land in the overflow bucket and show operators who is hitting the cap.
-		c.batchSize.Get(c.Metrics()).Observe(float64(n))
+		c.batchSize().Observe(float64(n))
 	}
 	if RejectBatch(w, n, maxItems) {
 		return

@@ -31,10 +31,9 @@ func get(t *testing.T, url string) *http.Response {
 // request, so with a fixed step every request's latency is the step itself
 // and lands in one known bucket.
 func TestMetricsExactBucketCounts(t *testing.T) {
-	ctrl := untrainedController(t)
 	fc := obs.NewFakeClock(time.Unix(1700000000, 0))
 	reg := obs.NewRegistry(fc)
-	ctrl.SetMetricsRegistry(reg)
+	ctrl := newController(reg, NewGHNRegistry(), untrainedEngine(t))
 	srv := httptest.NewServer(ctrl.Handler())
 	defer srv.Close()
 
@@ -187,10 +186,9 @@ func TestRequestIDPropagation(t *testing.T) {
 // receives the same report.
 func TestTracePredict(t *testing.T) {
 	e, _ := sharedEngine(t)
-	ctrl := NewController(NewGHNRegistry(), e)
 	fc := obs.NewFakeClock(time.Unix(1700000000, 0))
 	fc.SetStep(time.Millisecond)
-	ctrl.SetMetricsRegistry(obs.NewRegistry(fc))
+	ctrl := newController(obs.NewRegistry(fc), NewGHNRegistry(), e)
 	var logBuf syncBuffer
 	ctrl.SetTraceLog(log.New(&logBuf, "", 0))
 	srv := httptest.NewServer(ctrl.Handler())

@@ -24,7 +24,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	clock := g.opts.Obs.Clock()
+	clock := g.reg.Clock()
 	start := clock.Now()
 	results := g.fanout(r, req.Requests)
 	g.fanoutHist.Observe(obs.Since(clock, start).Seconds())

@@ -50,17 +50,6 @@ type Options struct {
 	// crosses the wire. <= 0 uses the core defaults.
 	MaxBodyBytes  int64
 	MaxBatchItems int
-	// DisableFailover pins every dataset to its ring owner: requests for a
-	// downed owner fail per the status contract instead of walking to the
-	// successor. Ships the per-item-503 regression surface for tests; off
-	// in production topologies.
-	DisableFailover bool
-	// Source names this gateway in replicated inventory frames. Defaults
-	// to "gateway".
-	Source string
-	// Obs receives the gateway metric families; nil builds a private
-	// registry (Metrics still serves it).
-	Obs *obs.Registry
 	// Client performs forwarded requests and probes. Defaults to a client
 	// with a 30 s overall timeout.
 	Client *http.Client
@@ -85,12 +74,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatchItems <= 0 {
 		o.MaxBatchItems = core.DefaultMaxBatchItems
 	}
-	if o.Source == "" {
-		o.Source = "gateway"
-	}
-	if o.Obs == nil {
-		o.Obs = obs.NewRegistry(nil)
-	}
 	if o.Client == nil {
 		o.Client = &http.Client{Timeout: 30 * time.Second}
 	}
@@ -104,6 +87,7 @@ type Gateway struct {
 	opts   Options
 	ring   *Ring
 	health *health
+	reg    *obs.Registry
 	mw     *obs.Middleware
 
 	// Per-shard state, keyed by replica URL. Immutable maps after New;
@@ -111,7 +95,7 @@ type Gateway struct {
 	limiters map[string]*core.InflightLimiter
 	labels   map[string]string // replica URL → s0..sN-1 (sorted URL order)
 
-	// Metric handles (nil-safe, but Obs is never nil after withDefaults):
+	// Metric handles on reg, the gateway's own registry:
 	rebalances  *obs.Counter // gateway.ring.rebalances
 	shedTotal   *obs.Counter // gateway.shed.total
 	replPushes  *obs.Counter // gateway.replicate.pushes
@@ -137,37 +121,39 @@ func New(opts Options) (*Gateway, error) {
 		return nil, fmt.Errorf("gateway: replica URLs must be unique and non-empty; %d of %d survived", len(members), len(opts.Replicas))
 	}
 	backoff := cluster.NewBackoff(opts.Seed, 0, 0)
+	reg := obs.NewRegistry(nil)
 	g := &Gateway{
 		opts:     opts,
 		ring:     ring,
 		health:   newHealth(members, opts.Client, opts.HealthTimeout, backoff, time.Now),
-		mw:       &obs.Middleware{Registry: func() *obs.Registry { return opts.Obs }, IDs: obs.NewIDSource("gwreq")},
+		reg:      reg,
+		mw:       &obs.Middleware{Registry: reg, IDs: obs.NewIDSource("gwreq")},
 		limiters: make(map[string]*core.InflightLimiter, len(members)),
 		labels:   shardLabels(members),
 
-		rebalances:  opts.Obs.Counter("gateway.ring.rebalances"),
-		shedTotal:   opts.Obs.Counter("gateway.shed.total"),
-		replPushes:  opts.Obs.Counter("gateway.replicate.pushes"),
-		replErrors:  opts.Obs.Counter("gateway.replicate.errors"),
-		fanoutHist:  opts.Obs.Histogram("gateway.fanout.latency.seconds", obs.LatencyBuckets()),
+		rebalances:  reg.Counter("gateway.ring.rebalances"),
+		shedTotal:   reg.Counter("gateway.shed.total"),
+		replPushes:  reg.Counter("gateway.replicate.pushes"),
+		replErrors:  reg.Counter("gateway.replicate.errors"),
+		fanoutHist:  reg.Histogram("gateway.fanout.latency.seconds", obs.LatencyBuckets()),
 		shardReqs:   make(map[string]*obs.Counter, len(members)),
 		shardErrs:   make(map[string]*obs.Counter, len(members)),
 		shardSheds:  make(map[string]*obs.Counter, len(members)),
-		shardOwners: opts.Obs.Gauge("gateway.replicas.up"),
+		shardOwners: reg.Gauge("gateway.replicas.up"),
 	}
 	for _, m := range members {
 		g.limiters[m] = core.NewInflightLimiter(opts.ShardInflight)
 		label := g.labels[m]
-		g.shardReqs[m] = opts.Obs.Counter("gateway.shard." + label + ".requests")
-		g.shardErrs[m] = opts.Obs.Counter("gateway.shard." + label + ".errors")
-		g.shardSheds[m] = opts.Obs.Counter("gateway.shard." + label + ".shed")
+		g.shardReqs[m] = reg.Counter("gateway.shard." + label + ".requests")
+		g.shardErrs[m] = reg.Counter("gateway.shard." + label + ".errors")
+		g.shardSheds[m] = reg.Counter("gateway.shard." + label + ".shed")
 	}
 	g.shardOwners.Set(int64(len(members)))
 	return g, nil
 }
 
 // Metrics returns the gateway's registry.
-func (g *Gateway) Metrics() *obs.Registry { return g.opts.Obs }
+func (g *Gateway) Metrics() *obs.Registry { return g.reg }
 
 // Ring returns the routing ring (read-only use).
 func (g *Gateway) Ring() *Ring { return g.ring }
@@ -244,7 +230,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/v1/batch", g.mw.Wrap("batch", g.handleBatch)) // legacy alias
 	mux.HandleFunc("/v1/status", g.mw.Wrap("status", g.handleStatus))
 	mux.HandleFunc("/v1/models", g.mw.Wrap("models", g.handleModels))
-	mux.Handle("/v1/metrics", obs.Handler(g.opts.Obs))
-	mux.Handle("/debug/vars", obs.TextHandler(g.opts.Obs))
+	mux.Handle("/v1/metrics", obs.Handler(g.reg))
+	mux.Handle("/debug/vars", obs.TextHandler(g.reg))
 	return mux
 }

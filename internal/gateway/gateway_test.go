@@ -261,65 +261,6 @@ func TestGatewayFailoverUnderInjectedPartition(t *testing.T) {
 	}
 }
 
-// TestBatchPerItemContractOneShardDown is the PR 3 regression surface
-// under sharding: with failover pinned off, a dead shard's items carry
-// per-item 503s while the live shard's items succeed — and the request as
-// a whole stays 200.
-func TestBatchPerItemContractOneShardDown(t *testing.T) {
-	datasets := ringKeys(24)
-	servers, urls := startReplicas(t, 2, datasets...)
-	gw, err := gateway.New(gateway.Options{Replicas: urls, Seed: 1, DisableFailover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw.CheckNow(context.Background())
-	front := httptest.NewServer(gw.Handler())
-	defer front.Close()
-
-	liveDS := datasetOwnedBy(t, gw.Ring(), datasets, urls[0])
-	deadDS := datasetOwnedBy(t, gw.Ring(), datasets, urls[1])
-	servers[1].Close()
-
-	batch := fmt.Sprintf(`{"requests":[
-		{"dataset":%q,"model":"resnet18","num_servers":2},
-		{"dataset":%q,"model":"resnet18","num_servers":2},
-		{"dataset":%q,"model":"vgg11","num_servers":4},
-		{"dataset":%q,"model":"vgg11","num_servers":4}]}`,
-		liveDS, deadDS, liveDS, deadDS)
-
-	// Twice: first round discovers the death mid-fanout, second routes
-	// with the owner already known dead. The contract must hold on both.
-	for round := 0; round < 2; round++ {
-		resp, body := postJSON(t, front.URL+"/v1/predict/batch", batch)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("round %d: whole-batch status = %d, want 200 (one dead shard must not fail the request): %s",
-				round, resp.StatusCode, body)
-		}
-		var br core.BatchResponse
-		if err := json.Unmarshal(body, &br); err != nil {
-			t.Fatal(err)
-		}
-		if len(br.Results) != 4 {
-			t.Fatalf("round %d: %d results, want 4", round, len(br.Results))
-		}
-		for i, item := range br.Results {
-			wantDead := i%2 == 1 // items 1 and 3 target the dead shard
-			if wantDead {
-				if item.Code != http.StatusServiceUnavailable || item.Error == "" {
-					t.Fatalf("round %d item %d (dead shard): code %d err %q, want per-item 503", round, i, item.Code, item.Error)
-				}
-				continue
-			}
-			if item.Code != 0 || item.Error != "" {
-				t.Fatalf("round %d item %d (live shard): code %d err %q, want success", round, i, item.Code, item.Error)
-			}
-			if item.Dataset != liveDS {
-				t.Fatalf("round %d item %d: dataset %q, want %q", round, i, item.Dataset, liveDS)
-			}
-		}
-	}
-}
-
 // TestGatewayBatchFailoverReroutes: with failover ON, the same scenario
 // serves every item — the dead shard's items re-route to the successor.
 func TestGatewayBatchFailoverReroutes(t *testing.T) {
@@ -355,7 +296,9 @@ func TestGatewayBatchFailoverReroutes(t *testing.T) {
 
 // TestGateway404VersusDegraded: an unknown dataset through a live shard is
 // the replica's own 404; the same request with every candidate dark is the
-// gateway's 503 — degraded, without Retry-After.
+// gateway's 503 — degraded, without Retry-After. A batch with every
+// candidate dark keeps the per-item contract: the request is 200 and each
+// item carries its own degraded 503.
 func TestGateway404VersusDegraded(t *testing.T) {
 	servers, urls := startReplicas(t, 2, "cifar10")
 	gw, err := gateway.New(gateway.Options{Replicas: urls, Seed: 1})
@@ -383,6 +326,27 @@ func TestGateway404VersusDegraded(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "degraded") {
 		t.Fatalf("degraded 503 body = %s", body)
+	}
+
+	batch := fmt.Sprintf(`{"requests":[%s,%s]}`, predictBody("cifar10"), predictBody("no-such-dataset"))
+	resp, body = postJSON(t, front.URL+"/v1/predict/batch", batch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch with all replicas dark = %d, want 200 (failures are per item): %s", resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Fatalf("batch with all replicas dark carries Retry-After %q", ra)
+	}
+	var br core.BatchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != 2 {
+		t.Fatalf("%d results, want 2: %s", len(br.Results), body)
+	}
+	for i, item := range br.Results {
+		if item.Code != http.StatusServiceUnavailable || !strings.Contains(item.Error, "no live replica") {
+			t.Fatalf("item %d with all replicas dark: code %d err %q, want a per-item 503 naming no live replica", i, item.Code, item.Error)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func (g *Gateway) ReplicateNow(ctx context.Context) (pushed int, err error) {
 		entries = append(entries, e)
 	}
 	for _, addr := range g.opts.CollectorAddrs {
-		if pushErr := cluster.SendInventory(addr, g.opts.Source, entries, cluster.PushOptions{
+		if pushErr := cluster.SendInventory(addr, "gateway", entries, cluster.PushOptions{
 			DialTimeout:  g.opts.HealthTimeout,
 			WriteTimeout: g.opts.HealthTimeout,
 		}); pushErr != nil {

@@ -12,14 +12,9 @@ import (
 
 // candidates returns a dataset's failover chain — the live replicas in
 // ring order starting at the owner — minus any replicas the caller has
-// already excluded this request. With failover disabled the chain is the
-// owner alone, dead or not: the caller then reports the owner's true state
-// instead of silently serving from a successor.
+// already excluded this request.
 func (g *Gateway) candidates(dataset string, excluded map[string]bool) []string {
 	chain := g.ring.Successors(dataset, len(g.ring.Members()))
-	if g.opts.DisableFailover && len(chain) > 1 {
-		chain = chain[:1]
-	}
 	out := chain[:0:0]
 	for _, c := range chain {
 		if excluded[c] || !g.health.isUp(c) {

@@ -10,34 +10,9 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
-
-// Handles memoises metric handles resolved from a Registry, so a request
-// path pays one atomic load where it used to pay a name concatenation and a
-// registry lock per metric. The owner passes its current registry to Get;
-// Resolve runs again only when that registry changes (a controller's
-// SetMetricsRegistry). Concurrent first calls may each resolve: registry
-// lookups are get-or-create, so they end up holding the same metrics.
-type Handles[T any] struct {
-	Resolve func(*Registry) T
-	cur     atomic.Pointer[resolved[T]]
-}
-
-type resolved[T any] struct {
-	reg *Registry
-	v   T
-}
-
-// Get returns the handles resolved against reg.
-func (h *Handles[T]) Get(reg *Registry) T {
-	if c := h.cur.Load(); c != nil && c.reg == reg {
-		return c.v
-	}
-	c := &resolved[T]{reg: reg, v: h.Resolve(reg)}
-	h.cur.Store(c)
-	return c.v
-}
 
 // Middleware is the request middleware the controller and the gateway both
 // mount (DESIGN.md §9): request-ID propagation, the in-flight gauge,
@@ -49,9 +24,9 @@ func (h *Handles[T]) Get(reg *Registry) T {
 //	http.latency.<endpoint>.seconds    histogram, LatencyBuckets
 //	http.inflight                      gauge, requests between accept and reply
 type Middleware struct {
-	// Registry returns the registry requests report into. It is called once
-	// per request, so the owner may swap registries while mounted.
-	Registry func() *Registry
+	// Registry receives every request's metrics. Each endpoint resolves its
+	// handles from it on first use, so it is set once, before serving.
+	Registry *Registry
 	// IDs mints request IDs for clients that send none.
 	IDs *IDSource
 	// TraceLog, when set, returns the logger receiving a server-side copy of
@@ -59,7 +34,7 @@ type Middleware struct {
 	TraceLog func() *log.Logger
 }
 
-// endpointHandles are one endpoint's metrics on one registry. Status
+// endpointHandles are one endpoint's metrics. Status
 // counters are resolved on first sight of a code, so a registry only ever
 // lists the codes an endpoint actually answered.
 type endpointHandles struct {
@@ -99,19 +74,20 @@ func (e *endpointHandles) requests(code int) *Counter {
 // reads per untraced request (start and stop), so scripted tests can
 // assert exact latency bucket counts.
 func (m *Middleware) Wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	handles := &Handles[*endpointHandles]{Resolve: func(reg *Registry) *endpointHandles {
+	// Resolved on first use, so a registry lists only the endpoints that
+	// served a request.
+	handles := sync.OnceValue(func() *endpointHandles {
 		return &endpointHandles{
-			reg:      reg,
+			reg:      m.Registry,
 			prefix:   "http.requests." + endpoint + ".",
-			inflight: reg.Gauge("http.inflight"),
-			latency:  reg.Histogram("http.latency."+endpoint+".seconds", nil),
+			inflight: m.Registry.Gauge("http.inflight"),
+			latency:  m.Registry.Histogram("http.latency."+endpoint+".seconds", nil),
 		}
-	}}
+	})
 	return func(w http.ResponseWriter, r *http.Request) {
-		reg := m.Registry()
-		clock := reg.Clock()
+		clock := m.Registry.Clock()
 		start := clock.Now()
-		eh := handles.Get(reg)
+		eh := handles()
 		eh.inflight.Inc()
 		defer eh.inflight.Dec()
 

@@ -124,44 +124,3 @@ func TestStatusRecorderAndReplyHelpers(t *testing.T) {
 		}
 	}
 }
-
-// The middleware resolves its handles once per registry, not once: an owner
-// that swaps registries while mounted (core's SetMetricsRegistry) sees later
-// requests land in the new one, and swapping back reuses nothing stale.
-func TestMiddlewareFollowsRegistrySwap(t *testing.T) {
-	a, b := NewRegistry(nil), NewRegistry(nil)
-	cur := a
-	m := &Middleware{Registry: func() *Registry { return cur }, IDs: NewIDSource("t")}
-	h := m.Wrap("ping", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/missing" {
-			w.WriteHeader(http.StatusNotFound)
-		}
-	})
-	serve := func(path string) {
-		h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
-	}
-	serve("/")
-	serve("/missing")
-	cur = b
-	serve("/")
-	cur = a
-	serve("/")
-
-	for _, tc := range []struct {
-		reg  *Registry
-		name string
-		want uint64
-	}{
-		{a, "http.requests.ping.200", 2},
-		{a, "http.requests.ping.404", 1},
-		{b, "http.requests.ping.200", 1},
-		{b, "http.requests.ping.404", 0},
-	} {
-		if got := tc.reg.Snapshot().Counter(tc.name); got != tc.want {
-			t.Errorf("%s = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-	if h, _ := b.Snapshot().HistogramByName("http.latency.ping.seconds"); h.Count != 1 {
-		t.Errorf("registry b latency count = %d, want 1", h.Count)
-	}
-}
